@@ -18,7 +18,15 @@ from pyspark.sql import types as T
 
 def random_hyperplanes(dim: int, K: int, L: int, seed: int = 0) -> np.ndarray:
     """``(L, K, dim)`` unit normal vectors (the random hyperplane family
-    for cosine distance, Def. 1 / §4.2)."""
+    for cosine distance, Def. 1 / §4.2).
+
+    Raises ``ValueError`` unless ``1 <= K <= 62`` and ``L >= 1``: a bucket
+    code packs K bits into an int64, and K >= 63 would overflow it.
+    """
+    if not 1 <= K <= 62:
+        raise ValueError(f"K must be in [1, 62], got {K}")
+    if L < 1:
+        raise ValueError(f"L must be >= 1, got {L}")
     rng = np.random.default_rng(seed)
     planes = rng.standard_normal((L, K, dim))
     return planes / np.linalg.norm(planes, axis=2, keepdims=True)

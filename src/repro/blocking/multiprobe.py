@@ -35,9 +35,14 @@ def multiprobe_topn_candidates(mat_a: np.ndarray, mat_b: np.ndarray,
     """Algorithm 5 on the driver: for each A-tuple, collect B-tuples from
     all probed buckets across the L tables, rank by cosine, keep top-N.
 
-    Returns row-index pairs ``(i, j)``.
+    Returns row-index pairs ``(i, j)``. Raises ``ValueError`` unless
+    ``0 <= n_probes <= K`` and ``top_n >= 1``.
     """
     L, K, _ = planes.shape
+    if not 0 <= n_probes <= K:
+        raise ValueError(f"n_probes must be in [0, K={K}], got {n_probes}")
+    if top_n < 1:
+        raise ValueError(f"top_n must be >= 1, got {top_n}")
     codes_a = lsh_codes_np(mat_a, planes)
     codes_b = lsh_codes_np(mat_b, planes)
     offsets = probe_offsets(K, n_probes)

@@ -69,11 +69,19 @@ def avg_tuple_vectors_spark(df: DataFrame, attrs: list[str],
 
 
 def collect_vectors(df_vec: DataFrame) -> tuple[list[str], np.ndarray]:
-    """Collect a ``(id, vec)`` DataFrame to ``(ids, matrix)`` on the driver."""
-    rows = df_vec.select("id", "vec").collect()
-    ids = [r["id"] for r in rows]
-    mat = np.asarray([r["vec"] for r in rows])
-    return ids, mat
+    """Collect a ``(id, vec)`` DataFrame to ``(ids, matrix)`` on the driver.
+
+    Goes through Arrow, and raises ``ValueError`` on a duplicate id: callers
+    index the matrix by id, so each id must name exactly one row.
+    """
+    pdf = df_vec.select("id", "vec").toPandas()
+    dup = pdf["id"].duplicated()
+    if dup.any():
+        raise ValueError(f"duplicate id {pdf['id'][dup].iloc[0]!r} "
+                         "in vector table")
+    if pdf.empty:
+        return [], np.empty((0, 0))
+    return pdf["id"].tolist(), np.stack(pdf["vec"].to_numpy())
 
 
 def encode_attr_tokens(table: pd.DataFrame, attrs: list[str],

@@ -63,8 +63,10 @@ def _prepare(ds: ERDataset, cfg: DeepERConfig, spark=None):
             df_a, ds.attributes, cfg.dictionary, cfg.d, extra))
         got_b, mat_b = compose.collect_vectors(compose.avg_tuple_vectors_spark(
             df_b, ds.attributes, cfg.dictionary, cfg.d, extra))
-        vec_a = mat_a[[got_a.index(i) for i in ids_a]]
-        vec_b = mat_b[[got_b.index(i) for i in ids_b]]
+        row_a = {t: i for i, t in enumerate(got_a)}
+        row_b = {t: i for i, t in enumerate(got_b)}
+        vec_a = mat_a[[row_a[i] for i in ids_a]]
+        vec_b = mat_b[[row_b[i] for i in ids_b]]
     else:
         vec_a = compose.avg_tuple_matrix(ds.table_a, ds.attributes,
                                          dictionary, extra)

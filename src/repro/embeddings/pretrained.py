@@ -76,6 +76,15 @@ class SyntheticEmbeddings:
         self._covers = covers
         self._concept = lexicon.concept_map() if concept is None else concept
         self._cache: dict[str, np.ndarray | None] = {}
+        # Trigrams recur across words ("<pr" in every "pr..." word), so
+        # their hash vectors are drawn once per instance.
+        self._tri_cache: dict[str, np.ndarray] = {}
+        # Real embedding spaces are anisotropic: all word vectors share a
+        # large common direction, so the cosine between ANY two words (and
+        # between UNK and anything) is a stable positive constant, not
+        # zero-mean noise. common_weight reproduces that.
+        mu = _hash_vec("<common-direction>", self.seed, self.d)
+        self._mu = mu / np.linalg.norm(mu)
         # UNK is the zero vector: an OOV token contributes nothing to an
         # averaged attribute vector, and a NULL attribute yields exactly
         # zero cosine against anything — a *neutral* feature value rather
@@ -110,23 +119,22 @@ class SyntheticEmbeddings:
         # similarity is a property of spelling, not of the training corpus,
         # so all model families agree on it (they differ in the semantic
         # component's geometry and in char_weight).
-        tv = np.mean([_hash_vec(t, 7, self.d) for t in tri], axis=0)
+        tv = np.mean([self._trigram_vector(t) for t in tri], axis=0)
         tv /= np.linalg.norm(tv)
-        # Real embedding spaces are anisotropic: all word vectors share a
-        # large common direction, so the cosine between ANY two words (and
-        # between UNK and anything) is a stable positive constant, not
-        # zero-mean noise. common_weight reproduces that.
-        mu = _hash_vec("<common-direction>", self.seed, self.d)
-        mu /= np.linalg.norm(mu)
         # sqrt-weights over unit components: squared weights are the cosine
         # contributions — cos(same concept, diff surface) ~=
         # (1-cw)(1-g)+g, cos(unrelated) ~= g, cos(typo) ~= cw(1-g)+g.
         g, cw = self.common_weight, self.char_weight
         v = (np.sqrt((1.0 - cw) * (1.0 - g)) * cv
              + np.sqrt(cw * (1.0 - g)) * tv
-             + np.sqrt(g) * mu)
+             + np.sqrt(g) * self._mu)
         n = np.linalg.norm(v)
         return v / n if n > 0 else v
+
+    def _trigram_vector(self, tri: str) -> np.ndarray:
+        if tri not in self._tri_cache:
+            self._tri_cache[tri] = _hash_vec(tri, 7, self.d)
+        return self._tri_cache[tri]
 
     def vector(self, word: str) -> np.ndarray | None:
         """Unit vector for an in-vocabulary word, else ``None`` (OOV)."""

@@ -38,6 +38,17 @@ class TestHashFamily:
         np.testing.assert_allclose(random_hyperplanes(8, 4, 2, seed=5),
                                    random_hyperplanes(8, 4, 2, seed=5))
 
+    @pytest.mark.parametrize("K,L", [(0, 1), (63, 1), (64, 2), (4, 0)])
+    def test_rejects_k_outside_1_62_and_l_below_1(self, K, L):
+        with pytest.raises(ValueError):
+            random_hyperplanes(8, K, L)
+
+    def test_k62_codes_fit_int64(self):
+        rng = np.random.default_rng(2)
+        codes = lsh_codes_np(_unit_rows(rng, 200, 16),
+                             random_hyperplanes(16, K=62, L=1))
+        assert codes.min() >= 0 and codes.max() < 2**62
+
     def test_codes_in_range(self):
         rng = np.random.default_rng(0)
         codes = lsh_codes_np(_unit_rows(rng, 50, 16),
@@ -163,6 +174,15 @@ class TestMultiProbe:
             recalls.append(pair_completeness(cand, matches))
         assert recalls[0] <= recalls[1] <= recalls[2]
         assert recalls[2] > recalls[0]  # probing strictly helps overall
+
+    @pytest.mark.parametrize("n_probes,top_n", [(-1, 5), (5, 5), (1, 0)])
+    def test_rejects_bad_probes_and_top_n(self, n_probes, top_n):
+        rng = np.random.default_rng(5)
+        va, vb = _unit_rows(rng, 5, 16), _unit_rows(rng, 5, 16)
+        planes = random_hyperplanes(16, K=4, L=1)
+        with pytest.raises(ValueError):
+            multiprobe_topn_candidates(va, vb, planes, n_probes=n_probes,
+                                       top_n=top_n)
 
     def test_topn_bounds_candidates(self):
         rng = np.random.default_rng(4)

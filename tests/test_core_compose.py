@@ -138,3 +138,10 @@ class TestSparkCompose:
             avg_tuple_vectors_spark(df_a, ds.attributes, "glove840", d.d))
         order = [got_ids.index(i) for i in ids]
         np.testing.assert_allclose(got[order], want, atol=1e-12)
+
+    def test_collect_vectors_rejects_duplicate_ids(self, spark):
+        df = spark.createDataFrame(
+            [("a", [1.0, 0.0]), ("b", [0.0, 1.0]), ("a", [0.5, 0.5])],
+            "id string, vec array<double>")
+        with pytest.raises(ValueError, match="'a'"):
+            collect_vectors(df)

@@ -13,7 +13,7 @@ from repro.embeddings import (
     word2vec,
 )
 from repro.embeddings import lexicon
-from repro.embeddings.pretrained import embed_value
+from repro.embeddings.pretrained import _hash_vec, _trigrams, embed_value
 
 
 def _cos(a, b):
@@ -53,6 +53,40 @@ class TestDeterminismAndShape:
     def test_different_families_differ(self):
         g, w = glove840(), word2vec()
         assert abs(_cos(g.vector("database"), w.vector("database"))) < 0.9
+
+
+def _reference_vector(e: SyntheticEmbeddings, word: str) -> np.ndarray:
+    """The word-vector formula with every hash drawn afresh: no trigram
+    memo, common direction recomputed per word."""
+    c = lexicon.concept_map().get(word, word)
+    cv = _hash_vec(c, e.seed, e.d)
+    cv /= np.linalg.norm(cv)
+    tv = np.mean([_hash_vec(t, 7, e.d) for t in _trigrams(word)], axis=0)
+    tv /= np.linalg.norm(tv)
+    mu = _hash_vec("<common-direction>", e.seed, e.d)
+    mu /= np.linalg.norm(mu)
+    g, cw = e.common_weight, e.char_weight
+    v = (np.sqrt((1.0 - cw) * (1.0 - g)) * cv
+         + np.sqrt(cw * (1.0 - g)) * tv
+         + np.sqrt(g) * mu)
+    n = np.linalg.norm(v)
+    return v / n if n > 0 else v
+
+
+class TestVectorsEqualReference:
+    # Words sharing trigrams ("<da", "dat", "ata", ...), a nickname pair
+    # mapped to one concept, and a 1-letter word (a single "<x>" trigram).
+    WORDS = ["data", "database", "datasets", "date", "bill", "william",
+             "intl", "international", "x", "samsung", "data"]
+
+    @pytest.mark.parametrize("e", [
+        glove840(), fasttext(d=16),
+        SyntheticEmbeddings("anisotropic", d=24, seed=9, char_weight=0.3,
+                            common_weight=0.25),
+    ], ids=["glove840", "fasttext16", "common_weight"])
+    def test_vectors_bit_identical(self, e):
+        for w in self.WORDS:
+            assert np.array_equal(e.vector(w), _reference_vector(e, w)), w
 
 
 class TestSemanticStructure:

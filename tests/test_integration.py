@@ -78,12 +78,11 @@ class TestFullPipeline:
         vb = avg_tuple_matrix(ds.table_b, ds.attributes, d)
         ra = {t: i for i, t in enumerate(ds.table_a["id"])}
         rb = {t: i for i, t in enumerate(ds.table_b["id"])}
-        sample = rows[:50]
         X = per_attribute_cosine(
-            va[[ra[r["id_a"]] for r in sample]],
-            vb[[rb[r["id_b"]] for r in sample]], m, d.d)
+            va[[ra[r["id_a"]] for r in rows]],
+            vb[[rb[r["id_b"]] for r in rows]], m, d.d)
         want = model.predict_proba(X)
-        got = np.array([r["prob"] for r in sample])
+        got = np.array([r["prob"] for r in rows])
         np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_export_head_roundtrip(self, pipeline):
