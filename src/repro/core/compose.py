@@ -1,9 +1,10 @@
 """Tuple → distributed representation composition (Algorithms 1 & 2).
 
-The AVG path (Algorithm 1) averages token vectors per attribute and
-concatenates the attribute vectors into an ``m*d`` tuple DR. The LSTM path
-(Algorithm 2) runs a *shared* LSTM over each attribute's token sequence
-(see ``repro.core.model.LSTMDeepER`` for the trainable composition).
+Every cell is tokenized once and encoded to ragged token ids by one
+encoder, ``_encode`` (row 0 of the dictionary matrix is UNK). The AVG path
+(Algorithm 1) averages each cell's token vectors and concatenates them into
+an ``m*d`` tuple DR; the trainable paths (Algorithm 2, ``repro.core.model``)
+take the same ids padded to ``max_len``.
 
 ``avg_tuple_vectors_spark`` is the distributed dataflow: DR computation runs
 inside Spark via ``mapInPandas``, reconstructing the (deterministic,
@@ -21,10 +22,24 @@ from repro.embeddings.pretrained import FACTORIES, SyntheticEmbeddings
 from repro.embeddings.tokenize import tokenize
 
 
-def avg_attr_vector(dictionary: SyntheticEmbeddings, value,
-                    extra: dict | None = None) -> np.ndarray:
-    """Algorithm 1, one attribute: mean of token vectors (UNK for OOV)."""
-    return dictionary.lookup_tokens(tokenize(value), extra).mean(axis=0)
+def _tokenize_cells(table: pd.DataFrame, attrs: list[str]):
+    """Token list of every cell, attribute-major: cell ``j*n + i`` is
+    ``table[attrs[j]]`` at row ``i``."""
+    return [tokenize(v) for attr in attrs for v in table[attr].tolist()]
+
+
+def _encode(cells: list[list[str]], index: dict[str, int]):
+    """Ragged token ids of tokenized cells: ``(ids, lens)``.
+
+    ``ids`` concatenates every cell's ids and ``lens[k]`` is the token count
+    of cell ``k``. A word missing from ``index`` is 0 (UNK); an empty or
+    NULL cell is exactly one 0, so every cell has at least one id.
+    """
+    lens = np.fromiter((len(c) or 1 for c in cells), np.int64, len(cells))
+    ids = np.fromiter((i for c in cells
+                       for i in [index.get(t, 0) for t in c] or [0]),
+                      np.int64, int(lens.sum()))
+    return ids, lens
 
 
 def avg_tuple_matrix(table: pd.DataFrame, attrs: list[str],
@@ -32,12 +47,14 @@ def avg_tuple_matrix(table: pd.DataFrame, attrs: list[str],
                      extra: dict | None = None) -> np.ndarray:
     """(n, m*d) matrix of tuple DRs for a pandas table (driver-side path)."""
     n, m, d = len(table), len(attrs), dictionary.d
-    out = np.empty((n, m * d))
-    for j, attr in enumerate(attrs):
-        col = table[attr].tolist()
-        for i, v in enumerate(col):
-            out[i, j * d:(j + 1) * d] = avg_attr_vector(dictionary, v, extra)
-    return out
+    if n * m == 0:
+        return np.zeros((n, m * d))
+    cells = _tokenize_cells(table, attrs)
+    index, E = dictionary.as_matrix({t for c in cells for t in c}, extra)
+    ids, lens = _encode(cells, index)
+    starts = np.cumsum(lens) - lens
+    means = np.add.reduceat(E[ids], starts, axis=0) / lens[:, None]
+    return means.reshape(m, n, d).transpose(1, 0, 2).reshape(n, m * d)
 
 
 def avg_tuple_vectors_spark(df: DataFrame, attrs: list[str],
@@ -88,17 +105,18 @@ def encode_attr_tokens(table: pd.DataFrame, attrs: list[str],
                        index: dict[str, int], max_len: int = 18):
     """Token-id tensors for the trainable paths.
 
-    Returns ``(ids, mask)`` of shape ``(n, m, max_len)``; OOV/unknown words
-    map to row 0 (UNK), empty values get a single UNK token, matching the
-    UNK semantics of the lookup layer.
+    Returns ``(ids, mask)`` of shape ``(n, m, max_len)``: each cell's ids
+    from ``_encode`` (OOV words are 0, UNK; an empty value is a single UNK
+    token) truncated to ``max_len`` and zero-padded.
     """
     n, m = len(table), len(attrs)
-    ids = np.zeros((n, m, max_len), dtype=np.int64)
+    ids, lens = _encode(_tokenize_cells(table, attrs), index)
+    pos = np.arange(len(ids)) - np.repeat(np.cumsum(lens) - lens, lens)
+    keep = pos < max_len
+    cell = np.repeat(np.arange(n * m), lens)[keep]
+    at = (cell % n, cell // n, pos[keep])  # (row, attribute, position)
+    out = np.zeros((n, m, max_len), dtype=np.int64)
     mask = np.zeros((n, m, max_len))
-    for j, attr in enumerate(attrs):
-        for i, v in enumerate(table[attr].tolist()):
-            toks = tokenize(v)[:max_len] or ["<unk>"]
-            for t_i, tok in enumerate(toks):
-                ids[i, j, t_i] = index.get(tok, 0)
-                mask[i, j, t_i] = 1.0
-    return ids, mask
+    out[at] = ids[keep]
+    mask[at] = 1.0
+    return out, mask

@@ -79,7 +79,7 @@ def _prepare(ds: ERDataset, cfg: DeepERConfig, spark=None):
     return dictionary, extra, ids_a, ids_b, vec_a, vec_b, pairs, y, threshold
 
 
-def _cv(y, X_builder, model_factory, fit_predict, cfg: DeepERConfig):
+def _cv(y, model_factory, fit_predict, cfg: DeepERConfig):
     """Generic stratified-K-fold loop returning mean (f1, prec, rec)."""
     scores = []
     for fold, (tr, te) in enumerate(
@@ -120,7 +120,7 @@ def evaluate_deeper(ds: ERDataset, cfg: DeepERConfig = DeepERConfig(),
             model.fit(X[tr], y[tr])
             return (model.predict_proba(X[te]) >= 0.5).astype(float)
 
-        return _cv(y, None, factory, fit_predict, cfg)
+        return _cv(y, factory, fit_predict, cfg)
 
     # trainable paths need token-id tensors
     vocab = vocabulary(ds)
@@ -153,7 +153,7 @@ def evaluate_deeper(ds: ERDataset, cfg: DeepERConfig = DeepERConfig(),
         proba = model.predict_proba(pa[te], pmska[te], pb[te], pmskb[te])
         return (proba >= 0.5).astype(float)
 
-    return _cv(y, None, factory, fit_predict, cfg)
+    return _cv(y, factory, fit_predict, cfg)
 
 
 def evaluate_magellan(ds: ERDataset, cfg: DeepERConfig = DeepERConfig()):
@@ -168,4 +168,4 @@ def evaluate_magellan(ds: ERDataset, cfg: DeepERConfig = DeepERConfig()):
         model.fit(X[tr], y[tr])
         return model.predict(X[te])
 
-    return _cv(y, None, factory, fit_predict, cfg)
+    return _cv(y, factory, fit_predict, cfg)

@@ -26,7 +26,6 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro.embeddings import lexicon
-from repro.embeddings.tokenize import tokenize
 
 UNK = "<unk>"
 
@@ -146,21 +145,6 @@ class SyntheticEmbeddings:
     def unk_vector(self) -> np.ndarray:
         return self._unk
 
-    def lookup_tokens(self, tokens: Iterable[str],
-                      extra: dict[str, np.ndarray] | None = None) -> np.ndarray:
-        """Token list -> ``(T, d)`` matrix; OOV tokens get the UNK vector
-        unless ``extra`` (e.g. retrofitted vectors) provides them. An empty
-        token list (NULL attribute) yields a single UNK row, per §2.3."""
-        rows = []
-        for t in tokens:
-            v = self.vector(t)
-            if v is None and extra is not None:
-                v = extra.get(t)
-            rows.append(self._unk if v is None else v)
-        if not rows:
-            rows = [self._unk]
-        return np.asarray(rows)
-
     def coverage(self, words: Iterable[str]) -> float:
         ws = list(words)
         if not ws:
@@ -240,10 +224,3 @@ FACTORIES = {
     "bio": bio_dict,
 }
 
-
-def embed_value(dictionary: SyntheticEmbeddings, value,
-                extra: dict[str, np.ndarray] | None = None) -> np.ndarray:
-    """Tokenize an attribute value and average its token vectors — the
-    AVG path of Algorithm 1 for a single attribute."""
-    toks = tokenize(value)
-    return dictionary.lookup_tokens(toks, extra).mean(axis=0)

@@ -189,9 +189,9 @@ def blocking_sweep_rows(scale: float = 0.5, d: int = 64,
         dic = glove840(d)
         va = avg_tuple_matrix(ds.table_a, ds.attributes, dic)
         vb = avg_tuple_matrix(ds.table_b, ds.attributes, dic)
-        ids_a = ds.table_a["id"].tolist()
-        ids_b = ds.table_b["id"].tolist()
-        matches = {(ids_a.index(a), ids_b.index(b)) for a, b in ds.matches}
+        row_a = {t: i for i, t in enumerate(ds.table_a["id"])}
+        row_b = {t: i for i, t in enumerate(ds.table_b["id"])}
+        matches = {(row_a[a], row_b[b]) for a, b in ds.matches}
         dim = va.shape[1]
 
         def pc_rr(K, L):
@@ -219,9 +219,9 @@ def multiprobe_rows(scale: float = 0.5, d: int = 64) -> list[dict]:
     dic = glove840(d)
     va = avg_tuple_matrix(ds.table_a, ds.attributes, dic)
     vb = avg_tuple_matrix(ds.table_b, ds.attributes, dic)
-    ids_a = ds.table_a["id"].tolist()
-    ids_b = ds.table_b["id"].tolist()
-    matches = {(ids_a.index(a), ids_b.index(b)) for a, b in ds.matches}
+    row_a = {t: i for i, t in enumerate(ds.table_a["id"])}
+    row_b = {t: i for i, t in enumerate(ds.table_b["id"])}
+    matches = {(row_a[a], row_b[b]) for a, b in ds.matches}
     planes = random_hyperplanes(va.shape[1], K=10, L=1, seed=2)
     rows = []
     for top_n in (10, 20, 30, 50):

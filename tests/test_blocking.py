@@ -17,7 +17,11 @@ from repro.blocking import (
     reduction_ratio,
 )
 from repro.blocking.multiprobe import probe_offsets
-from repro.core.compose import avg_tuple_matrix, avg_tuple_vectors_spark
+from repro.core.compose import (
+    avg_tuple_matrix,
+    avg_tuple_vectors_spark,
+    collect_vectors,
+)
 from repro.embeddings import glove840
 from repro.er_data import load, to_spark
 from repro.oracle import assert_equivalent
@@ -119,9 +123,9 @@ class TestKLMonotonicity:
         d = glove840(48)
         va = avg_tuple_matrix(ds.table_a, ds.attributes, d)
         vb = avg_tuple_matrix(ds.table_b, ds.attributes, d)
-        ids_a = ds.table_a["id"].tolist()
-        ids_b = ds.table_b["id"].tolist()
-        matches = {(ids_a.index(a), ids_b.index(b)) for a, b in ds.matches}
+        row_a = {t: i for i, t in enumerate(ds.table_a["id"])}
+        row_b = {t: i for i, t in enumerate(ds.table_b["id"])}
+        matches = {(row_a[a], row_b[b]) for a, b in ds.matches}
         return va, vb, matches
 
     def _pc_rr(self, va, vb, matches, K, L):
@@ -163,9 +167,9 @@ class TestMultiProbe:
         d = glove840(48)
         va = avg_tuple_matrix(ds.table_a, ds.attributes, d)
         vb = avg_tuple_matrix(ds.table_b, ds.attributes, d)
-        ids_a = ds.table_a["id"].tolist()
-        ids_b = ds.table_b["id"].tolist()
-        matches = {(ids_a.index(a), ids_b.index(b)) for a, b in ds.matches}
+        row_a = {t: i for i, t in enumerate(ds.table_a["id"])}
+        row_b = {t: i for i, t in enumerate(ds.table_b["id"])}
+        matches = {(row_a[a], row_b[b]) for a, b in ds.matches}
         planes = random_hyperplanes(va.shape[1], K=10, L=1, seed=2)
         recalls = []
         for p in (0, 1, 2):
@@ -260,3 +264,57 @@ class TestSparkBlocking:
         rr = reduction_ratio(len(got), ds.n_a, ds.n_b)
         assert pc > 0.8   # K=4, L=2 keeps nearly all true matches
         assert rr < 0.6   # while pruning a large share of comparisons
+
+
+class TestSparkPartitionCounts:
+    """Spark DRs, codes and candidates equal the driver's whether the input
+    and the shuffle sit in one partition or in 200 (most of them empty),
+    with an attribute that is NULL in every row of both tables."""
+
+    D = 32
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        ds = load("pub_ds", scale=0.25)
+        tabs = [t.assign(notes=None) for t in (ds.table_a, ds.table_b)]
+        return tabs, ds.attributes + ["notes"]
+
+    @pytest.mark.parametrize("parts", [1, 200])
+    def test_spark_equals_driver(self, spark, tables, parts):
+        tabs, attrs = tables
+        planes = random_hyperplanes(self.D * len(attrs), K=4, L=3, seed=7)
+        want = [avg_tuple_matrix(t, attrs, glove840(self.D)) for t in tabs]
+        schema = ", ".join(f"{c} string" for c in tabs[0].columns)
+        shuffle = spark.conf.get("spark.sql.shuffle.partitions")
+        spark.conf.set("spark.sql.shuffle.partitions", str(parts))
+        vecs, codes = [], []
+        try:
+            dfs = [spark.createDataFrame(t, schema).repartition(parts)
+                   for t in tabs]
+            assert [df.rdd.getNumPartitions() for df in dfs] == [parts] * 2
+            for df in dfs:
+                vecs.append(avg_tuple_vectors_spark(
+                    df, attrs, "glove840", self.D).cache())
+                codes.append(add_lsh_codes(vecs[-1], planes).cache())
+            got_vecs = [collect_vectors(v) for v in vecs]
+            got_codes = [c.toPandas() for c in codes]
+            got_cands = {(r["id_a"], r["id_b"])
+                         for r in candidate_pairs(*codes).collect()}
+        finally:
+            spark.conf.set("spark.sql.shuffle.partitions", shuffle)
+            for df in vecs + codes:
+                df.unpersist()
+
+        for t, w, (ids, mat), c in zip(tabs, want, got_vecs, got_codes):
+            np.testing.assert_array_equal(w[:, -self.D:], 0.0)  # NULL attr
+            row = {i: k for k, i in enumerate(t["id"])}
+            np.testing.assert_allclose(mat, w[[row[i] for i in ids]],
+                                       rtol=0, atol=1e-12)
+            c = c.assign(r=c["id"].map(row)).sort_values(["r", "l"])
+            np.testing.assert_array_equal(
+                c["bucket"].to_numpy().reshape(len(t), -1),
+                lsh_codes_np(w, planes))
+        ids_a, ids_b = (t["id"].to_numpy() for t in tabs)
+        want_cands = candidate_pairs_np(*(lsh_codes_np(w, planes)
+                                          for w in want))
+        assert got_cands == {(ids_a[i], ids_b[j]) for i, j in want_cands}

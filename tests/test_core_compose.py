@@ -5,7 +5,6 @@ import pandas as pd
 import pytest
 
 from repro.core.compose import (
-    avg_attr_vector,
     avg_tuple_matrix,
     avg_tuple_vectors_spark,
     collect_vectors,
@@ -17,8 +16,33 @@ from repro.core.similarity import (
     per_attribute_cosine,
     tuple_cosine,
 )
-from repro.embeddings import glove840
+from repro.embeddings import (
+    glove840,
+    glove_wiki,
+    retrofit_vocabulary,
+    tokenize,
+)
 from repro.er_data import load, to_spark
+from repro.er_data.datasets import tuple_token_lists
+
+
+def _cell_dr(dictionary, value, extra=None):
+    """One attribute's AVG DR, the per-cell formula of Algorithm 1 as a
+    reference: each token's vector, else its ``extra`` vector, else UNK;
+    a cell without tokens is a single UNK. Then the mean."""
+    rows = []
+    for t in tokenize(value):
+        v = dictionary.vector(t)
+        if v is None and extra is not None:
+            v = extra.get(t)
+        rows.append(dictionary.unk_vector if v is None else v)
+    return np.asarray(rows or [dictionary.unk_vector]).mean(axis=0)
+
+
+def _one_cell(dictionary, value, extra=None):
+    """``avg_tuple_matrix`` of a one-row, one-attribute table."""
+    return avg_tuple_matrix(pd.DataFrame({"x": [value]}), ["x"], dictionary,
+                            extra)[0]
 
 
 class TestPaperRunningExample:
@@ -34,13 +58,13 @@ class TestPaperRunningExample:
         self.t2 = {"name": "William Gates", "city": "Seattle"}
 
     def test_attr_vector_is_token_average(self):
-        v = avg_attr_vector(self.d, "Bill Gates")
+        v = _one_cell(self.d, "Bill Gates")
         np.testing.assert_allclose(
             v, (self.d.vector("bill") + self.d.vector("gates")) / 2)
 
     def test_same_city_identical_vectors(self):
-        va = avg_attr_vector(self.d, self.t1["city"])
-        vb = avg_attr_vector(self.d, self.t2["city"])
+        va = _one_cell(self.d, self.t1["city"])
+        vb = _one_cell(self.d, self.t2["city"])
         np.testing.assert_allclose(va, vb)
 
     def test_similarity_vector_matches_example(self):
@@ -81,6 +105,45 @@ class TestAvgMatrix:
         without = avg_tuple_matrix(table, ["x"], d)
         np.testing.assert_allclose(with_extra[0], 1.0)
         np.testing.assert_allclose(without[0], 0.0)
+
+    def test_equals_per_cell_reference(self):
+        """Prod-AG has empty cells. With the small dictionary and retrofit
+        vectors for only half of its OOV words, every table mixes
+        in-dictionary, ``extra`` and UNK words."""
+        ds = load("prod_ag", scale=0.25)
+        d = glove_wiki()
+        extra = retrofit_vocabulary(tuple_token_lists(ds), d)
+        extra = dict(sorted(extra.items())[::2])
+        for table in (ds.table_a, ds.table_b):
+            want = np.asarray([np.concatenate([_cell_dr(d, v, extra)
+                                               for v in row])
+                               for row in table[ds.attributes].itertuples(
+                                   index=False)])
+            got = avg_tuple_matrix(table, ds.attributes, d, extra)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_empty_table(self):
+        d = glove840()
+        table = pd.DataFrame({"id": [], "x": [], "y": []})
+        assert avg_tuple_matrix(table, ["x", "y"], d).shape == (0, 2 * d.d)
+
+    def test_all_null_attribute_gives_zero_blocks(self):
+        d = glove840()
+        table = pd.DataFrame({"x": [None, "", None],
+                              "y": ["seattle", "bill gates", "chicago"]})
+        mat = avg_tuple_matrix(table, ["x", "y"], d)
+        np.testing.assert_array_equal(mat[:, :d.d], 0.0)
+        assert (np.abs(mat[:, d.d:]).sum(axis=1) > 0).all()
+
+    def test_long_cell_averages_every_token(self):
+        """AVG is not truncated: a 25-token cell averages all 25 vectors."""
+        d = glove840()
+        words = ["database", "query", "seattle", "bill", "gates"] * 5
+        got = _one_cell(d, " ".join(words))
+        np.testing.assert_allclose(
+            got, np.mean([d.vector(w) for w in words], axis=0), atol=1e-12)
+        assert not np.allclose(
+            got, np.mean([d.vector(w) for w in words[:18]], axis=0))
 
 
 class TestSimilarityOps:
@@ -124,6 +187,32 @@ class TestTokenEncoding:
                                        {"<unk>": 0}, max_len=4)
         assert mask[0, 0].sum() == 1.0
 
+    def test_empty_table(self):
+        ids, mask = encode_attr_tokens(pd.DataFrame({"x": [], "y": []}),
+                                       ["x", "y"], {"<unk>": 0}, max_len=5)
+        assert ids.shape == mask.shape == (0, 2, 5)
+
+    def test_long_cell_truncated_to_max_len(self):
+        index = {"<unk>": 0, "a": 1, "b": 2}
+        table = pd.DataFrame({"x": [" ".join(["a", "b", "zzz"] * 8 + ["a"])],
+                              "y": ["b"]})
+        ids, mask = encode_attr_tokens(table, ["x", "y"], index, max_len=18)
+        np.testing.assert_array_equal(ids[0, 0], [1, 2, 0] * 6)
+        np.testing.assert_array_equal(mask[0, 0], 1.0)
+        np.testing.assert_array_equal(ids[0, 1], [2] + [0] * 17)
+        np.testing.assert_array_equal(mask[0, 1], [1.0] + [0.0] * 17)
+
+    def test_attribute_major_layout(self):
+        """Cell (row i, attribute j) lands at ``[i, j]`` whatever the
+        token counts of the cells before it."""
+        index = {"<unk>": 0, "a": 1, "b": 2, "c": 3}
+        table = pd.DataFrame({"x": ["a a a", None], "y": ["b", "c b"]})
+        ids, mask = encode_attr_tokens(table, ["x", "y"], index, max_len=3)
+        np.testing.assert_array_equal(
+            ids, [[[1, 1, 1], [2, 0, 0]], [[0, 0, 0], [3, 2, 0]]])
+        np.testing.assert_array_equal(
+            mask, [[[1, 1, 1], [1, 0, 0]], [[1, 0, 0], [1, 1, 0]]])
+
 
 class TestSparkCompose:
     def test_distributed_equals_driver(self, spark):
@@ -133,10 +222,10 @@ class TestSparkCompose:
         df_a, _ = to_spark(spark, ds)
         d = glove840()
         want = avg_tuple_matrix(ds.table_a, ds.attributes, d)
-        ids = ds.table_a["id"].tolist()
         got_ids, got = collect_vectors(
             avg_tuple_vectors_spark(df_a, ds.attributes, "glove840", d.d))
-        order = [got_ids.index(i) for i in ids]
+        row = {t: i for i, t in enumerate(got_ids)}
+        order = [row[t] for t in ds.table_a["id"]]
         np.testing.assert_allclose(got[order], want, atol=1e-12)
 
     def test_collect_vectors_rejects_duplicate_ids(self, spark):

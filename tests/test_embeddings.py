@@ -1,7 +1,9 @@
 """Tests for the synthetic pre-trained dictionaries and tokenizer."""
 import numpy as np
+import pandas as pd
 import pytest
 
+from repro.core.compose import avg_tuple_matrix
 from repro.embeddings import (
     SyntheticEmbeddings,
     bio_dict,
@@ -13,7 +15,13 @@ from repro.embeddings import (
     word2vec,
 )
 from repro.embeddings import lexicon
-from repro.embeddings.pretrained import _hash_vec, _trigrams, embed_value
+from repro.embeddings.pretrained import _hash_vec, _trigrams
+
+
+def _avg(dictionary, value):
+    """AVG DR of one attribute value: a one-cell table's tuple DR."""
+    return avg_tuple_matrix(pd.DataFrame({"x": [value]}), ["x"],
+                            dictionary)[0]
 
 
 def _cos(a, b):
@@ -154,15 +162,20 @@ class TestCoverage:
 
     def test_oov_lookup_falls_back_to_unk(self):
         d = glove840()
-        m = d.lookup_tokens(["0042317", "database"])
-        np.testing.assert_allclose(m[0], d.unk_vector)
-        assert not np.allclose(m[1], d.unk_vector)
+        idx, mat = d.as_matrix(["0042317", "database"])
+        assert idx.get("0042317", 0) == 0  # OOV -> row 0, the UNK row
+        np.testing.assert_allclose(mat[0], d.unk_vector)
+        assert not np.allclose(mat[idx["database"]], d.unk_vector)
+        np.testing.assert_allclose(_avg(d, "0042317"), d.unk_vector)
+        assert not np.allclose(_avg(d, "database"), d.unk_vector)
 
     def test_empty_tokens_yield_unk_row(self):
         d = glove840()
-        m = d.lookup_tokens([])
-        assert m.shape == (1, d.d)
-        np.testing.assert_allclose(m[0], d.unk_vector)
+        idx, mat = d.as_matrix([])
+        assert idx == {"<unk>": 0} and mat.shape == (1, d.d)
+        np.testing.assert_allclose(mat[0], d.unk_vector)
+        for null in (None, "", "   "):
+            np.testing.assert_allclose(_avg(d, null), d.unk_vector)
 
 
 class TestVariants:
@@ -191,7 +204,7 @@ class TestVariants:
 class TestEmbedValueAndMatrix:
     def test_embed_value_is_token_mean(self):
         d = glove840()
-        v = embed_value(d, "Bill Gates")
+        v = _avg(d, "Bill Gates")
         expect = (d.vector("bill") + d.vector("gates")) / 2
         np.testing.assert_allclose(v, expect)
 
