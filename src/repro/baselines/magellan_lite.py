@@ -15,26 +15,40 @@ import pandas as pd
 from repro.baselines import simfns
 from repro.nn import Adam, Dense, bce_loss
 
-_FEATURES = [simfns.jaccard_tokens, simfns.jaccard_trigrams,
-             simfns.levenshtein_sim, simfns.exact_match, simfns.numeric_sim]
+
+def _rows(table: pd.DataFrame, ids: list[str]) -> np.ndarray:
+    """Row positions of ``ids`` in ``table``: ``ValueError`` if the table
+    repeats an id, ``KeyError`` for an id it does not hold."""
+    index = pd.Index(table["id"])
+    if not index.is_unique:
+        dup = index[index.duplicated()].unique().tolist()
+        raise ValueError(f"duplicate ids in table: {dup[:5]}")
+    rows = index.get_indexer(ids)
+    if (rows < 0).any():
+        raise KeyError(ids[int(np.argmax(rows < 0))])
+    return rows
 
 
 def featurize_pairs(table_a: pd.DataFrame, table_b: pd.DataFrame,
                     attrs: list[str],
                     pairs: list[tuple[str, str]]) -> np.ndarray:
-    """(n_pairs, n_attrs * 5) symbolic feature matrix."""
-    a = table_a.set_index("id")
-    b = table_b.set_index("id")
-    rows = np.empty((len(pairs), len(attrs) * len(_FEATURES)))
-    for i, (ia, ib) in enumerate(pairs):
-        ra, rb = a.loc[ia], b.loc[ib]
-        col = 0
-        for attr in attrs:
-            va, vb = ra[attr], rb[attr]
-            for fn in _FEATURES:
-                rows[i, col] = fn(va, vb)
-                col += 1
-    return rows
+    """(n_pairs, n_attrs * 5) symbolic feature matrix.
+
+    Only the rows the pairs use are read; per attribute, ``pair_features``
+    parses each distinct value once and computes each feature once per
+    distinct pair of values.
+    """
+    ra, ia = np.unique(_rows(table_a, [a for a, _ in pairs]),
+                       return_inverse=True)
+    rb, ib = np.unique(_rows(table_b, [b for _, b in pairs]),
+                       return_inverse=True)
+    n_f = len(simfns.PAIR_FEATURES)
+    X = np.empty((len(pairs), len(attrs) * n_f))
+    for k, attr in enumerate(attrs):
+        X[:, k * n_f:(k + 1) * n_f] = simfns.pair_features(
+            table_a[attr].to_numpy(object)[ra],
+            table_b[attr].to_numpy(object)[rb], ia, ib)
+    return X
 
 
 class MagellanLite:

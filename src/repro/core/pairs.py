@@ -45,23 +45,27 @@ def sample_pairs(ds: ERDataset, vec_a: np.ndarray, vec_b: np.ndarray,
     threshold = float(np.percentile(pos_sims, 5)) if pos_sims else 0.0
 
     n_b = len(ids_b)
+    norm_b = np.linalg.norm(vec_b, axis=-1)
+    # equal ids share a code, so "not the match" is an integer compare
+    code_of = {t: c for c, t in enumerate(dict.fromkeys(ids_b))}
+    code_b = np.fromiter((code_of[t] for t in ids_b), np.int64, n_b)
+    n_hard, n_easy = neg_ratio - neg_ratio // 2, neg_ratio // 2
     seen = set(pairs)
     for a in sorted(pos_a):
-        va = vec_a[row_a[a]]
         # Paper §5.1: negatives are non-matches whose cosine lies *below*
         # the minimum matched-pair similarity (the candidate threshold);
         # among those, prefer the most similar ones (informative
         # near-misses, the "truck not dog" principle). Pairs above the
         # threshold are boundary cases excluded from the labeled set.
-        sims = tuple_cosine(va[None, :], vec_b)
-        below = np.flatnonzero(sims < threshold)
-        order = below[np.argsort(-sims[below])]
-        hard = [int(i) for i in order
-                if ids_b[int(i)] != match_of[a]][: neg_ratio - neg_ratio // 2]
-        easy = [int(i) for i in rng.permutation(n_b)
-                if ids_b[int(i)] != match_of[a] and sims[int(i)] < threshold
-                ][: neg_ratio // 2]
-        for bi in hard + easy:
+        sims = tuple_cosine(vec_a[row_a[a]][None, :], vec_b, norm_b)
+        below = sims < threshold
+        other = code_b != code_of.get(match_of[a], -1)
+        order = np.flatnonzero(below)
+        order = order[np.argsort(-sims[order])]
+        hard = order[other[order]][:n_hard]
+        perm = rng.permutation(n_b)
+        easy = perm[(below & other)[perm]][:n_easy]
+        for bi in np.concatenate([hard, easy]).tolist():
             p = (a, ids_b[bi])
             if p in seen:
                 continue

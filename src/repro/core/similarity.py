@@ -33,9 +33,13 @@ def hadamard(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
     return ha * hb
 
 
-def tuple_cosine(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+def tuple_cosine(va: np.ndarray, vb: np.ndarray,
+                 norm_b: np.ndarray | None = None) -> np.ndarray:
     """Whole-tuple cosine of concatenated DRs (used by the pair sampler's
-    similarity threshold and by blocking's top-N ranking)."""
+    similarity threshold and by blocking's top-N ranking). ``norm_b`` is
+    ``np.linalg.norm(vb, axis=-1)`` when the caller already has it."""
+    if norm_b is None:
+        norm_b = np.linalg.norm(vb, axis=-1)
     num = (va * vb).sum(axis=-1)
-    den = (np.linalg.norm(va, axis=-1) * np.linalg.norm(vb, axis=-1)) + _EPS
+    den = (np.linalg.norm(va, axis=-1) * norm_b) + _EPS
     return num / den

@@ -1,6 +1,9 @@
 """Tests for pair sampling, K-fold CV, the DeepER pipeline, and the
 baseline — the machinery behind every evaluation table."""
+from functools import lru_cache
+
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.baselines import (
@@ -11,11 +14,14 @@ from repro.baselines import (
     levenshtein_sim,
     numeric_sim,
 )
-from repro.baselines.simfns import levenshtein
+from repro.baselines.magellan_lite import featurize_pairs
+from repro.baselines.simfns import levenshtein, levenshtein_batch
 from repro.core import DeepERConfig, evaluate_deeper, evaluate_magellan
 from repro.core.compose import avg_tuple_matrix
 from repro.core.pairs import f1_score, kfold_indices, sample_pairs
+from repro.core.similarity import tuple_cosine
 from repro.embeddings import glove840
+from repro.embeddings.tokenize import tokenize
 from repro.er_data import load
 
 
@@ -183,3 +189,236 @@ class TestPipelineEndToEnd:
         with pytest.raises(ValueError):
             evaluate_deeper(load("rest_fz", scale=0.1),
                             replace(SMALL, composition="transformer"))
+
+
+# ------------------------------------------------------------ references -
+# The per-pair implementations that the batched featurizer and the
+# vectorised sampler replaced, kept to check that outputs did not change.
+
+def _ref_norm(value) -> str:
+    return " ".join(tokenize(value))
+
+
+def _ref_jaccard_tokens(a, b) -> float:
+    ta, tb = set(tokenize(a)), set(tokenize(b))
+    if not ta and not tb:
+        return 0.0
+    return len(ta & tb) / max(1, len(ta | tb))
+
+
+def _ref_trigrams(s: str) -> set[str]:
+    s = f"##{s}#"
+    return {s[i:i + 3] for i in range(len(s) - 2)}
+
+
+def _ref_jaccard_trigrams(a, b) -> float:
+    sa, sb = _ref_norm(a), _ref_norm(b)
+    if not sa and not sb:
+        return 0.0
+    ta, tb = _ref_trigrams(sa), _ref_trigrams(sb)
+    return len(ta & tb) / max(1, len(ta | tb))
+
+
+def _ref_levenshtein(a: str, b: str) -> int:
+    if a == b:
+        return 0
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        cur = [i]
+        for j, cb in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1,
+                           prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+def _ref_levenshtein_sim(a, b) -> float:
+    sa, sb = _ref_norm(a)[:24], _ref_norm(b)[:24]
+    if not sa and not sb:
+        return 0.0
+    m = max(len(sa), len(sb))
+    return 1.0 - _ref_levenshtein(sa, sb) / m if m else 0.0
+
+
+def _ref_exact_match(a, b) -> float:
+    sa, sb = _ref_norm(a), _ref_norm(b)
+    return 1.0 if sa and sa == sb else 0.0
+
+
+def _ref_numeric_sim(a, b) -> float:
+    def first_num(v):
+        for t in tokenize(v):
+            try:
+                return float(t)
+            except ValueError:
+                continue
+        return None
+
+    na, nb = first_num(a), first_num(b)
+    if na is None or nb is None:
+        return 0.0
+    denom = max(abs(na), abs(nb), 1e-9)
+    return max(0.0, 1.0 - abs(na - nb) / denom)
+
+
+_REF_FEATURES = [_ref_jaccard_tokens, _ref_jaccard_trigrams,
+                 _ref_levenshtein_sim, _ref_exact_match, _ref_numeric_sim]
+
+
+def _ref_featurize_pairs(table_a, table_b, attrs, pairs):
+    a = table_a.set_index("id")
+    b = table_b.set_index("id")
+    rows = np.empty((len(pairs), len(attrs) * len(_REF_FEATURES)))
+    for i, (ia, ib) in enumerate(pairs):
+        ra, rb = a.loc[ia], b.loc[ib]
+        col = 0
+        for attr in attrs:
+            va, vb = ra[attr], rb[attr]
+            for fn in _REF_FEATURES:
+                rows[i, col] = fn(va, vb)
+                col += 1
+    return rows
+
+
+def _ref_sample_pairs(ds, vec_a, vec_b, ids_a, ids_b, *, neg_ratio=10,
+                      seed=0):
+    rng = np.random.default_rng(seed)
+    pos_a = {a for a, _ in ds.matches}
+    row_a = {t: i for i, t in enumerate(ids_a)}
+    row_b = {t: i for i, t in enumerate(ids_b)}
+    match_of = {a: b for a, b in ds.matches}
+    pairs, labels, pos_sims = [], [], []
+    for a, b in sorted(ds.matches):
+        pairs.append((a, b))
+        labels.append(1.0)
+        pos_sims.append(float(tuple_cosine(vec_a[row_a[a]], vec_b[row_b[b]])))
+    threshold = float(np.percentile(pos_sims, 5)) if pos_sims else 0.0
+    n_b = len(ids_b)
+    seen = set(pairs)
+    for a in sorted(pos_a):
+        sims = tuple_cosine(vec_a[row_a[a]][None, :], vec_b)
+        below = np.flatnonzero(sims < threshold)
+        order = below[np.argsort(-sims[below])]
+        hard = [int(i) for i in order
+                if ids_b[int(i)] != match_of[a]][: neg_ratio - neg_ratio // 2]
+        easy = [int(i) for i in rng.permutation(n_b)
+                if ids_b[int(i)] != match_of[a] and sims[int(i)] < threshold
+                ][: neg_ratio // 2]
+        for bi in hard + easy:
+            p = (a, ids_b[bi])
+            if p in seen:
+                continue
+            seen.add(p)
+            pairs.append(p)
+            labels.append(0.0)
+    return pairs, np.asarray(labels), threshold
+
+
+# Cells the generators never produce: NULL/empty/blank, longer than the
+# edit-distance cap, non-ASCII, and tokens that parse to nan/inf.
+_EDGE_CELLS = [
+    None, np.nan, "", "   ", "NaN", "none",
+    "an extremely long product title well past the twenty four cap",
+    "an extremely long product title well past the cap, differently",
+    "Café Zürich naïve", "straße ŝtrange ünïcödé", "東京 タワー 42",
+    "emoji 🙂 7", "nan 5", "inf", "1e400", "12 nan", "inf inf 3",
+    "0", "0.0 0", "price 1e400 99", "99.99", "100 dollars",
+]
+
+
+def _with_edge_cells(ds):
+    """Copies of both tables whose first rows cycle through
+    ``_EDGE_CELLS`` (so equal values meet across tables), plus every pair
+    of those rows."""
+    ta, tb = ds.table_a.copy(), ds.table_b.copy()
+    n = len(_EDGE_CELLS)
+    for k, attr in enumerate(ds.attributes):
+        for t, step in ((ta, 1), (tb, 3)):
+            col = t[attr].astype(object).to_numpy()
+            col[:n] = [_EDGE_CELLS[(step * i + k) % n] for i in range(n)]
+            t[attr] = col
+    pairs = [(a, b) for a in ta["id"][:n] for b in tb["id"][:n]]
+    return ta, tb, pairs
+
+
+@lru_cache(maxsize=None)
+def _sampled(name: str, seed: int):
+    ds = load(name, scale=0.5, seed=seed)
+    emb = glove840(d=64)
+    va = avg_tuple_matrix(ds.table_a, ds.attributes, emb)
+    vb = avg_tuple_matrix(ds.table_b, ds.attributes, emb)
+    ids_a, ids_b = ds.table_a["id"].tolist(), ds.table_b["id"].tolist()
+    return ds, va, vb, ids_a, ids_b
+
+
+@pytest.mark.parametrize("name", ["prod_ag", "pub_ds"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_sample_pairs_equals_reference(name, seed):
+    ds, va, vb, ids_a, ids_b = _sampled(name, seed)
+    got = sample_pairs(ds, va, vb, ids_a, ids_b, neg_ratio=20, seed=seed)
+    ref = _ref_sample_pairs(ds, va, vb, ids_a, ids_b, neg_ratio=20,
+                            seed=seed)
+    assert got[0] == ref[0]
+    assert np.array_equal(got[1], ref[1])
+    assert got[2] == ref[2]
+
+
+class TestFeaturizePairs:
+    @pytest.mark.parametrize("name", ["prod_ag", "pub_ds"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_equals_per_pair_reference(self, name, seed):
+        ds, va, vb, ids_a, ids_b = _sampled(name, seed)
+        pairs, _, _ = sample_pairs(ds, va, vb, ids_a, ids_b, neg_ratio=10,
+                                   seed=seed)
+        ta, tb, edge_pairs = _with_edge_cells(ds)
+        pairs = pairs + edge_pairs
+        X = featurize_pairs(ta, tb, ds.attributes, pairs)
+        assert X.shape == (len(pairs), 5 * len(ds.attributes))
+        assert not np.isnan(X).any()
+        assert np.array_equal(
+            X, _ref_featurize_pairs(ta, tb, ds.attributes, pairs))
+
+    def test_levenshtein_batch_equals_reference_dp(self):
+        rng = np.random.default_rng(0)
+        alphabet = list("abcde ") + ["é", "ß", "東", "🙂"]
+
+        def word():
+            return "".join(rng.choice(alphabet, size=rng.integers(0, 25)))
+
+        sa = [word() for _ in range(2_000)] + ["", "", "same", "x" * 24]
+        sb = [word() for _ in range(2_000)] + ["", "abc", "same", "x" * 24]
+        sb[:200] = sa[:200]  # equal strings
+        got = levenshtein_batch(sa, sb)
+        assert got.tolist() == [_ref_levenshtein(a, b)
+                                for a, b in zip(sa, sb)]
+
+    def test_empty_pair_list(self):
+        ds = load("rest_fz", scale=0.1)
+        X = featurize_pairs(ds.table_a, ds.table_b, ds.attributes, [])
+        assert X.shape == (0, 5 * len(ds.attributes))
+
+    def test_duplicate_id_raises(self):
+        ds = load("rest_fz", scale=0.1)
+        a0 = ds.table_a["id"].iloc[0]
+        b0 = ds.table_b["id"].iloc[0]
+        dup = pd.concat([ds.table_a, ds.table_a.iloc[:1]], ignore_index=True)
+        with pytest.raises(ValueError, match="duplicate"):
+            featurize_pairs(dup, ds.table_b, ds.attributes, [(a0, b0)])
+        dup = pd.concat([ds.table_b.iloc[:1], ds.table_b], ignore_index=True)
+        with pytest.raises(ValueError, match="duplicate"):
+            featurize_pairs(ds.table_a, dup, ds.attributes, [(a0, b0)])
+
+    def test_unknown_id_raises_key_error(self):
+        ds = load("rest_fz", scale=0.1)
+        a0 = ds.table_a["id"].iloc[0]
+        b0 = ds.table_b["id"].iloc[0]
+        with pytest.raises(KeyError):
+            featurize_pairs(ds.table_a, ds.table_b, ds.attributes,
+                            [(a0, b0), ("no-such-id", b0)])
+        with pytest.raises(KeyError):
+            featurize_pairs(ds.table_a, ds.table_b, ds.attributes,
+                            [(a0, "no-such-id")])
