@@ -67,10 +67,15 @@ def test_blocking_kl_sweep(benchmark):
 
 def test_multiprobe_sweep(benchmark):
     rows = benchmark.pedantic(multiprobe_rows, rounds=1, iterations=1)
-    text = format_table(rows, "Multi-probe LSH recall (K=10, L=1)")
+    text = format_table(rows, "Multi-probe LSH recall and candidates kept "
+                              "(K=10, L=1)")
     print("\n" + text)
     write_result("multiprobe", text)
     # Figure 12 shape: more probes -> higher recall at fixed top-N
     by = {(r["top_n"], r["probes"]): r["recall"] for r in rows}
     for top_n in (10, 20, 30, 50):
         assert by[(top_n, 2)] >= by[(top_n, 0)]
+    # top-N bounds classifier invocations: fewer kept pairs at smaller N
+    kept = {(r["top_n"], r["probes"]): r["candidates"] for r in rows}
+    for probes in (0, 1, 2):
+        assert kept[(10, probes)] <= kept[(50, probes)]

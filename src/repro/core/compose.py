@@ -7,9 +7,10 @@ an ``m*d`` tuple DR; the trainable paths (Algorithm 2, ``repro.core.model``)
 take the same ids padded to ``max_len``.
 
 ``avg_tuple_vectors_spark`` is the distributed dataflow: DR computation runs
-inside Spark via ``mapInPandas``, reconstructing the (deterministic,
-hash-based) dictionary on each executor instead of shipping a giant matrix
-— how one would deploy DeepER's representation layer at scale.
+inside Spark via ``mapInPandas``. Each Python worker process builds the
+(deterministic, hash-based) dictionary from its name once and reuses it
+across the tasks it runs, instead of receiving a shipped matrix — how one
+would deploy DeepER's representation layer at scale.
 """
 from __future__ import annotations
 
@@ -62,10 +63,16 @@ def avg_tuple_vectors_spark(df: DataFrame, attrs: list[str],
                             extra: dict | None = None) -> DataFrame:
     """Distributed Algorithm 1: ``(id, vec)`` with ``vec`` an ``m*d`` array.
 
-    The dictionary is rebuilt on each executor from its registry name —
-    synthetic embeddings are pure functions of (word, seed), so this is
-    exactly equivalent to broadcasting the pre-trained matrix.
+    The dictionary is built from its registry name once per Python worker
+    process and reused across tasks (Spark reuses its Python workers by
+    default) — synthetic embeddings are pure functions of (word, seed), so
+    this is exactly equivalent to broadcasting the pre-trained matrix.
+    Raises ``ValueError`` for an unknown ``dict_name`` before any Spark
+    plan is built.
     """
+    if dict_name not in FACTORIES:
+        raise ValueError(f"unknown dictionary {dict_name!r}; "
+                         f"known: {', '.join(sorted(FACTORIES))}")
     spark = df.sparkSession
     bc_extra = spark.sparkContext.broadcast(extra)
 

@@ -17,9 +17,16 @@ module builds drop-in substitutes with the properties DeepER relies on:
   Spark executors without shipping a 2 GB matrix.
 
 Vectors are unit-normalized so cosine similarity is a dot product.
+
+Like a real dictionary, each family is loaded once and then only read: the
+factories return one shared instance per ``(family, d)`` in each process,
+so a vector is derived the first time any caller looks its word up and
+reused by every later DR pass, resolve and Spark task in that process.
+Returned vectors are read-only, since every caller shares them.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Callable, Iterable
 
@@ -89,6 +96,7 @@ class SyntheticEmbeddings:
         # zero cosine against anything — a *neutral* feature value rather
         # than hash noise (the standard OOV convention in DL toolkits).
         self._unk = np.zeros(self.d)
+        self._unk.setflags(write=False)
 
     # -- membership ---------------------------------------------------------
     def __contains__(self, word: str) -> bool:
@@ -136,9 +144,15 @@ class SyntheticEmbeddings:
         return self._tri_cache[tri]
 
     def vector(self, word: str) -> np.ndarray | None:
-        """Unit vector for an in-vocabulary word, else ``None`` (OOV)."""
+        """Unit vector for an in-vocabulary word, else ``None`` (OOV).
+
+        The array is read-only: it is the instance's memo, shared by every
+        caller of the factory."""
         if word not in self._cache:
-            self._cache[word] = self._raw_vector(word) if word in self else None
+            v = self._raw_vector(word) if word in self else None
+            if v is not None:
+                v.setflags(write=False)
+            self._cache[word] = v
         return self._cache[word]
 
     @property
@@ -171,11 +185,28 @@ class SyntheticEmbeddings:
 
 # ------------------------------------------------------------ the variants -
 
+def _once_per_d(build: Callable[[int], SyntheticEmbeddings]):
+    """Memoise a dictionary factory on ``d``: every call with the same ``d``
+    (positional or keyword) returns one shared instance. The vectors are
+    pure functions of (word, seed, d) and no caller mutates an instance, so
+    sharing changes no value. ``factory.__wrapped__(d)`` still builds a
+    fresh, independent instance."""
+    memo = functools.cache(build)
+
+    @functools.wraps(build)
+    def factory(d: int = 32) -> SyntheticEmbeddings:
+        return memo(d)
+
+    return factory
+
+
+@_once_per_d
 def glove840(d: int = 32) -> SyntheticEmbeddings:
     """GloVe Common-Crawl-840B stand-in: (near-)full coverage."""
     return SyntheticEmbeddings("glove840", d=d, seed=42, char_weight=0.20)
 
 
+@_once_per_d
 def glove_wiki(d: int = 32) -> SyntheticEmbeddings:
     """GloVe-Wikipedia stand-in: small dictionary — common English words
     only, missing names / brands / venue acronyms (Table 5's steep drop)."""
@@ -186,24 +217,28 @@ def glove_wiki(d: int = 32) -> SyntheticEmbeddings:
     )
 
 
+@_once_per_d
 def word2vec(d: int = 32) -> SyntheticEmbeddings:
     """word2vec (Google News) stand-in: independent geometry, similar
     coverage — Table 6 shows only minor variation across families."""
     return SyntheticEmbeddings("word2vec", d=d, seed=1013, char_weight=0.18)
 
 
+@_once_per_d
 def fasttext(d: int = 32) -> SyntheticEmbeddings:
     """fastText stand-in: heavier subword component (the paper restricts it
     to word-level vectors for fairness; we keep a higher char weight only)."""
     return SyntheticEmbeddings("fasttext", d=d, seed=2027, char_weight=0.45)
 
 
+@_once_per_d
 def spanish_glove(d: int = 32) -> SyntheticEmbeddings:
     """Spanish dictionary stand-in for Table 7. Operates on Spanish surface
     forms; same concept machinery, separate model seed."""
     return SyntheticEmbeddings("spanish", d=d, seed=3001, char_weight=0.20)
 
 
+@_once_per_d
 def bio_dict(d: int = 32) -> SyntheticEmbeddings:
     """Biomedical dictionary stand-in (§5.2 nucleotide benchmark): the paper
     *assumes* "an appropriate dictionary for biomedical embeddings"; k-mer
@@ -213,8 +248,10 @@ def bio_dict(d: int = 32) -> SyntheticEmbeddings:
                                concept={})
 
 
-# Registry so Spark executors can rebuild a dictionary from its name
-# instead of deserializing one (vectors are pure functions of the word).
+# Registry so a Spark task can obtain a dictionary from its name instead of
+# deserializing one (vectors are pure functions of the word). The entries
+# are the memoised factories, so each Python worker process builds a
+# dictionary once and reuses it, warm, across the tasks it runs.
 FACTORIES = {
     "glove840": glove840,
     "glove_wiki": glove_wiki,

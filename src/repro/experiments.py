@@ -214,7 +214,8 @@ def blocking_sweep_rows(scale: float = 0.5, d: int = 64,
 
 def multiprobe_rows(scale: float = 0.5, d: int = 64) -> list[dict]:
     """Figure 12-shaped sweep (bonus): recall of multi-probe LSH with a
-    single hash table (K=10, L=1) at varying top-N."""
+    single hash table (K=10, L=1) at varying top-N, and the candidate pairs
+    kept — the classifier invocations that top-N bounds."""
     ds = load("prod_ag", scale=scale)
     dic = glove840(d)
     va = avg_tuple_matrix(ds.table_a, ds.attributes, dic)
@@ -229,7 +230,8 @@ def multiprobe_rows(scale: float = 0.5, d: int = 64) -> list[dict]:
             cand = multiprobe_topn_candidates(va, vb, planes,
                                               n_probes=probes, top_n=top_n)
             rows.append({"top_n": top_n, "probes": probes,
-                         "recall": round(pair_completeness(cand, matches), 3)})
+                         "recall": round(pair_completeness(cand, matches), 3),
+                         "candidates": len(cand)})
     return rows
 
 

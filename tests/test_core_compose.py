@@ -217,7 +217,7 @@ class TestTokenEncoding:
 class TestSparkCompose:
     def test_distributed_equals_driver(self, spark):
         """The mapInPandas DR computation must agree exactly with the
-        driver-side path — same dictionary, rebuilt from its name."""
+        driver-side path — same dictionary, built from its name."""
         ds = load("rest_fz", scale=0.3)
         df_a, _ = to_spark(spark, ds)
         d = glove840()
@@ -227,6 +227,12 @@ class TestSparkCompose:
         row = {t: i for i, t in enumerate(got_ids)}
         order = [row[t] for t in ds.table_a["id"]]
         np.testing.assert_allclose(got[order], want, atol=1e-12)
+
+    def test_unknown_dictionary_rejected_on_driver(self):
+        # The name is checked before the DataFrame is touched, so no
+        # DataFrame (and no Spark session or job) is needed to see it fail.
+        with pytest.raises(ValueError, match="glove_840.*glove840"):
+            avg_tuple_vectors_spark(None, ["title"], "glove_840", 32)
 
     def test_collect_vectors_rejects_duplicate_ids(self, spark):
         df = spark.createDataFrame(

@@ -15,7 +15,8 @@ from repro.embeddings import (
     word2vec,
 )
 from repro.embeddings import lexicon
-from repro.embeddings.pretrained import _hash_vec, _trigrams
+from repro.embeddings.pretrained import FACTORIES, _hash_vec, _trigrams
+from repro.er_data import load
 
 
 def _avg(dictionary, value):
@@ -47,7 +48,10 @@ class TestTokenize:
 
 class TestDeterminismAndShape:
     def test_same_word_same_vector_across_instances(self):
-        a, b = glove840(), glove840()
+        # Two independent instances (the factory returns one shared
+        # instance): Spark workers in other processes rely on this.
+        a, b = glove840.__wrapped__(32), glove840.__wrapped__(32)
+        assert a is not b
         np.testing.assert_allclose(a.vector("database"), b.vector("database"))
 
     def test_unit_norm(self):
@@ -220,3 +224,44 @@ class TestEmbedValueAndMatrix:
         extra = {"0042317": np.ones(d.d) / np.sqrt(d.d)}
         idx, mat = d.as_matrix(["0042317"], extra=extra)
         np.testing.assert_allclose(mat[idx["0042317"]], extra["0042317"])
+
+
+class TestMemoisedFactories:
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    def test_one_instance_per_family_and_d(self, name):
+        factory = FACTORIES[name]
+        assert factory(32) is factory(32) is factory(d=32) is factory()
+        assert factory(16) is not factory(32)
+        assert (factory(16).d, factory(32).d) == (16, 32)
+        v = factory(16).vector("acgtacgt" if name == "bio" else "data")
+        assert v.shape == (16,)
+
+    @pytest.mark.parametrize("d", [32, 64])
+    @pytest.mark.parametrize("name", ["glove840", "glove_wiki"])
+    def test_drs_bit_identical_to_fresh_instance(self, name, d):
+        ds = load("prod_ag", scale=0.5)
+        shared = FACTORIES[name](d)
+        fresh = FACTORIES[name].__wrapped__(d)
+        assert fresh is not shared
+        # The repeated table_a pass reads only already-memoised vectors.
+        for table in (ds.table_a, ds.table_b, ds.table_a):
+            got = avg_tuple_matrix(table, ds.attributes, shared)
+            want = avg_tuple_matrix(table, ds.attributes, fresh)
+            assert np.array_equal(got, want)
+
+    def test_extra_never_leaks_into_shared_instance(self):
+        d, w = glove840(), "0042317"
+        extra = {w: np.ones(d.d) / np.sqrt(d.d)}
+        idx, _ = d.as_matrix([w, "database"], extra)
+        assert w in idx
+        assert not np.allclose(avg_tuple_matrix(
+            pd.DataFrame({"x": [w]}), ["x"], d, extra)[0], d.unk_vector)
+        idx, _ = glove840().as_matrix([w, "database"])
+        assert w not in idx and glove840().vector(w) is None
+        np.testing.assert_array_equal(_avg(glove840(), w), d.unk_vector)
+
+    def test_shared_vectors_are_read_only(self):
+        d = glove840()
+        for v in (d.vector("database"), d.unk_vector):
+            with pytest.raises(ValueError):
+                v[0] = 1.0
