@@ -13,7 +13,7 @@ import numpy as np
 import pandas as pd
 
 from repro.baselines import simfns
-from repro.nn import Adam, Dense, bce_loss
+from repro.nn import Dense, TrainLoop
 
 
 def _rows(table: pd.DataFrame, ids: list[str]) -> np.ndarray:
@@ -58,21 +58,17 @@ class MagellanLite:
                  epochs: int = 30, batch: int = 64, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.clf = Dense(n_features, 1, activation="sigmoid", rng=rng)
-        self.opt = Adam([self.clf], lr=lr, weight_decay=1e-4)
-        self.epochs, self.batch = epochs, batch
-        self._rng = rng
+        self.loop = TrainLoop([self.clf], lr=lr, epochs=epochs, batch=batch,
+                              rng=rng, weight_decay=1e-4)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "MagellanLite":
-        n = len(X)
-        for _ in range(self.epochs):
-            order = self._rng.permutation(n)
-            for s in range(0, n, self.batch):
-                idx = order[s:s + self.batch]
-                p = self.clf.forward(X[idx])[:, 0]
-                _, dp = bce_loss(p, y[idx])
-                self.opt.zero_grad()
-                self.clf.backward(dp[:, None])
-                self.opt.step()
+        def forward(idx):
+            return self.clf.forward(X[idx])[:, 0]
+
+        def backward(idx, dp):
+            self.clf.backward(dp[:, None])
+
+        self.loop.run(len(X), forward, backward, y)
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

@@ -5,9 +5,19 @@ DRs, build the labeled pair set (matches + sampled informative negatives),
 K-fold cross-validate the chosen model, and report mean F1/precision/recall.
 ``evaluate_magellan`` runs the Magellan-lite baseline on the *same* pair
 set so the Table 4 comparison isolates the representation.
+
+Both go through ``_cv``, which fits the K folds in parallel: one forked
+worker per fold, up to the CPUs this process may use. Each fold runs the
+same code on the same inputs with the same seed as in one process, so
+results are identical to a sequential loop. The workers run numpy only;
+they never touch Spark or py4j, which is what makes forking safe even
+when the caller holds a live SparkSession (``evaluate_deeper(spark=...)``).
 """
 from __future__ import annotations
 
+import gc
+import multiprocessing as mp
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,14 +89,53 @@ def _prepare(ds: ERDataset, cfg: DeepERConfig, spark=None):
     return dictionary, extra, ids_a, ids_b, vec_a, vec_b, pairs, y, threshold
 
 
+# (model_factory, fit_predict, splits) of the ``_cv`` call a pool worker
+# serves; set once per worker by ``_init_worker``, never in the parent.
+_WORKER_JOB = None
+
+
+def _init_worker(*job):
+    global _WORKER_JOB
+    _WORKER_JOB = job
+    # The worker never collects an object it inherited: no py4j finalizer
+    # can then write to the JVM socket the parent shares, and the
+    # collector does not copy the parent's pages by touching them.
+    gc.freeze()
+
+
+def _run_fold(model_factory, fit_predict, splits, fold):
+    tr, te = splits[fold]
+    return fit_predict(model_factory(fold), tr, te)
+
+
+def _worker_fold(fold):
+    return _run_fold(*_WORKER_JOB, fold)
+
+
 def _cv(y, model_factory, fit_predict, cfg: DeepERConfig):
-    """Generic stratified-K-fold loop returning mean (f1, prec, rec)."""
-    scores = []
-    for fold, (tr, te) in enumerate(
-            kfold_indices(len(y), cfg.folds, seed=cfg.seed, labels=y)):
-        model = model_factory(fold)
-        y_pred = fit_predict(model, tr, te)
-        scores.append(f1_score(y[te], y_pred))
+    """Stratified K-fold CV returning mean (f1, prec, rec) and per-fold F1.
+
+    Folds are fitted in a ``fork`` pool of one worker per fold, up to the
+    CPUs in ``os.sched_getaffinity(0)``. Under fork the workers inherit
+    ``model_factory``, ``fit_predict`` (closures over the pair arrays) and
+    the splits instead of receiving them pickled; each sends back only its
+    fold's predictions. Scoring and averaging stay here, in fold order, so
+    the result equals the sequential loop's exactly. The folds run in this
+    process instead when one worker is all there is, when ``fork`` is not
+    available, or when this process is itself a daemon (a pool worker may
+    not have children).
+    """
+    splits = kfold_indices(len(y), cfg.folds, seed=cfg.seed, labels=y)
+    job = (model_factory, fit_predict, splits)
+    workers = min(len(splits), len(os.sched_getaffinity(0)))
+    if (workers < 2 or "fork" not in mp.get_all_start_methods()
+            or mp.current_process().daemon):
+        preds = [_run_fold(*job, fold) for fold in range(len(splits))]
+    else:
+        ctx = mp.get_context("fork")
+        with ctx.Pool(workers, initializer=_init_worker, initargs=job) as pool:
+            preds = pool.map(_worker_fold, range(len(splits)), chunksize=1)
+    scores = [f1_score(y[te], p) for (_, te), p in zip(splits, preds)]
     arr = np.asarray(scores)
     return {
         "f1": float(arr[:, 0].mean()),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import Adam, BiLSTM, Dense, LSTM, bce_loss
+from repro.nn import Adam, BiLSTM, Dense, LSTM, TrainLoop
 
 _EPS = 1e-12
 
@@ -56,27 +56,6 @@ def _cosine_bwd(dcos: np.ndarray, cache):
     return du, dv
 
 
-class _TrainLoop:
-    """Shared Adam mini-batch loop over (forward, backward) closures."""
-
-    def __init__(self, modules, *, lr: float, epochs: int, batch: int,
-                 seed: int, weight_decay: float = 1e-3):
-        self.opt = Adam(modules, lr=lr, weight_decay=weight_decay)
-        self.epochs, self.batch = epochs, batch
-        self.rng = np.random.default_rng(seed)
-
-    def run(self, n: int, forward, backward, y: np.ndarray):
-        for _ in range(self.epochs):
-            order = self.rng.permutation(n)
-            for s in range(0, n, self.batch):
-                idx = order[s:s + self.batch]
-                p = forward(idx)
-                _, dp = bce_loss(p, y[idx])
-                self.opt.zero_grad()
-                backward(idx, dp)
-                self.opt.step()
-
-
 class AvgDeepER:
     """Dense head over precomputed per-attribute cosine features."""
 
@@ -85,8 +64,8 @@ class AvgDeepER:
         rng = np.random.default_rng(seed)
         self.dense = Dense(m, hidden, activation="tanh", rng=rng)
         self.clf = Dense(hidden, 1, activation="sigmoid", rng=rng)
-        self.loop = _TrainLoop([self.dense, self.clf], lr=lr, epochs=epochs,
-                               batch=batch, seed=seed)
+        self.loop = TrainLoop([self.dense, self.clf], lr=lr, epochs=epochs,
+                              batch=batch, rng=np.random.default_rng(seed))
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "AvgDeepER":
         def forward(idx):
@@ -118,8 +97,8 @@ class AvgDeepEREndToEnd:
         self.emb = _Embedding(emb_matrix)
         self.dense = Dense(m, hidden, activation="tanh", rng=rng)
         self.clf = Dense(hidden, 1, activation="sigmoid", rng=rng)
-        self.loop = _TrainLoop([self.dense, self.clf], lr=lr, epochs=epochs,
-                               batch=batch, seed=seed)
+        self.loop = TrainLoop([self.dense, self.clf], lr=lr, epochs=epochs,
+                              batch=batch, rng=np.random.default_rng(seed))
         self.emb_opt = Adam([self.emb], lr=emb_lr, weight_decay=0.0) \
             if update_embeddings else None
         self.update_embeddings = update_embeddings
@@ -208,8 +187,9 @@ class LSTMDeepER:
         self.out_dim = out_dim
         self.dense = Dense(m * out_dim, hidden, activation="tanh", rng=rng)
         self.clf = Dense(hidden, 1, activation="sigmoid", rng=rng)
-        self.loop = _TrainLoop(enc_modules + [self.dense, self.clf], lr=lr,
-                               epochs=epochs, batch=batch, seed=seed)
+        self.loop = TrainLoop(enc_modules + [self.dense, self.clf], lr=lr,
+                              epochs=epochs, batch=batch,
+                              rng=np.random.default_rng(seed))
 
     def _stack(self, idx, ids, mask):
         """(B,m,T) -> (m*B, T, d) sequence batch + (m*B, T) mask."""

@@ -1,5 +1,8 @@
 """Tests for pair sampling, K-fold CV, the DeepER pipeline, and the
 baseline — the machinery behind every evaluation table."""
+import multiprocessing as mp
+import os
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -16,7 +19,7 @@ from repro.baselines import (
 )
 from repro.baselines.magellan_lite import featurize_pairs
 from repro.baselines.simfns import levenshtein, levenshtein_batch
-from repro.core import DeepERConfig, evaluate_deeper, evaluate_magellan
+from repro.core import DeepERConfig, deeper, evaluate_deeper, evaluate_magellan
 from repro.core.compose import avg_tuple_matrix
 from repro.core.pairs import f1_score, kfold_indices, sample_pairs
 from repro.core.similarity import tuple_cosine
@@ -422,3 +425,123 @@ class TestFeaturizePairs:
         with pytest.raises(KeyError):
             featurize_pairs(ds.table_a, ds.table_b, ds.attributes,
                             [(a0, "no-such-id")])
+
+
+# ---------------------------------------------------------- parallel CV -
+# The sequential fold loop that ``deeper._cv`` replaced, kept to check
+# that fitting the folds in forked workers changes no result.
+
+def _ref_cv(y, model_factory, fit_predict, cfg):
+    scores = []
+    for fold, (tr, te) in enumerate(
+            kfold_indices(len(y), cfg.folds, seed=cfg.seed, labels=y)):
+        model = model_factory(fold)
+        y_pred = fit_predict(model, tr, te)
+        scores.append(f1_score(y[te], y_pred))
+    arr = np.asarray(scores)
+    return {
+        "f1": float(arr[:, 0].mean()),
+        "precision": float(arr[:, 1].mean()),
+        "recall": float(arr[:, 2].mean()),
+        "per_fold": [float(s) for s in arr[:, 0]],
+    }
+
+
+_CV_CASES = {
+    "avg": (evaluate_deeper, {}),
+    "avg-update": (evaluate_deeper, {"update_embeddings": True,
+                                     "epochs": 4}),
+    "lstm": (evaluate_deeper, {"composition": "lstm", "epochs": 3}),
+    "magellan": (evaluate_magellan, {}),
+}
+
+
+@lru_cache(maxsize=None)
+def _rest_fz():
+    return load("rest_fz", scale=0.2)
+
+
+@pytest.mark.parametrize("folds", [2, 5])
+@pytest.mark.parametrize("case", list(_CV_CASES))
+def test_parallel_cv_equals_sequential(case, folds, monkeypatch):
+    evaluate, overrides = _CV_CASES[case]
+    cfg = replace(SMALL, folds=folds, **overrides)
+    got = evaluate(_rest_fz(), cfg)
+    monkeypatch.setattr(deeper, "_cv", _ref_cv)
+    assert got == evaluate(_rest_fz(), cfg)
+
+
+def test_single_cpu_runs_folds_in_process(monkeypatch):
+    parent = os.getpid()
+    ran_in = set()
+    real_cv = deeper._cv
+
+    def spy_cv(y, model_factory, fit_predict, cfg):
+        def fit_predict_here(model, tr, te):
+            ran_in.add(os.getpid())
+            return fit_predict(model, tr, te)
+        return real_cv(y, model_factory, fit_predict_here, cfg)
+
+    ds = _rest_fz()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(deeper, "_cv", spy_cv)
+    got = evaluate_deeper(ds, SMALL)
+    assert ran_in == {parent}
+    monkeypatch.setattr(deeper, "_cv", _ref_cv)
+    assert got == evaluate_deeper(ds, SMALL)
+
+
+_Y = np.array([1.0] * 12 + [0.0] * 48)
+
+
+def _toy_fit_predict(model, tr, te):
+    """Predicts fold-dependent labels, so every fold scores differently."""
+    return np.where(np.arange(len(te)) % (model + 2) == 0, 1.0, _Y[te])
+
+
+def test_folds_run_in_workers_when_cpus_allow(monkeypatch):
+    parent = os.getpid()
+
+    def fit_predict(model, tr, te):
+        if os.getpid() == parent:
+            raise RuntimeError("fold ran in the parent")
+        return _toy_fit_predict(model, tr, te)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    cfg = DeepERConfig(folds=3)
+    got = deeper._cv(_Y, lambda fold: fold, fit_predict, cfg)
+    assert got == _ref_cv(_Y, lambda fold: fold, _toy_fit_predict, cfg)
+    assert mp.active_children() == []
+
+
+def test_cv_inside_daemonic_process_runs_in_process(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    cfg = DeepERConfig(folds=3)
+    ctx = mp.get_context("fork")
+    out = ctx.Queue()
+
+    def target():
+        try:
+            out.put(deeper._cv(_Y, lambda f: f, _toy_fit_predict, cfg))
+        except Exception as e:  # report the failure to the test process
+            out.put(repr(e))
+
+    proc = ctx.Process(target=target, daemon=True)
+    proc.start()
+    got = out.get(timeout=60)
+    proc.join(timeout=60)
+    assert not proc.is_alive() and proc.exitcode == 0
+    assert got == _ref_cv(_Y, lambda f: f, _toy_fit_predict, cfg)
+
+
+def test_failing_fold_raises_and_leaves_no_children(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+    def fit_predict(model, tr, te):
+        if model == 1:
+            raise ValueError("fold 1 failed")
+        return _toy_fit_predict(model, tr, te)
+
+    with pytest.raises(ValueError, match="fold 1 failed"):
+        deeper._cv(_Y, lambda f: f, fit_predict, DeepERConfig(folds=3))
+    assert mp.active_children() == []

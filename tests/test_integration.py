@@ -125,3 +125,14 @@ class TestTranslateAndBio:
         cfg = DeepERConfig(folds=2, neg_ratio=6, d=48, dictionary="bio",
                            epochs=12)
         assert evaluate_deeper(ds, cfg)["f1"] > 0.7
+
+
+def test_cv_folds_fork_safely_beside_a_live_spark_session(spark):
+    """``_cv`` forks its fold workers while this process holds a live
+    SparkSession. The workers run numpy only, so the result equals the
+    driver path's and the session still runs jobs afterwards."""
+    from repro.core import DeepERConfig, evaluate_deeper
+    ds = load("rest_fz", scale=0.3)
+    cfg = DeepERConfig(folds=3, neg_ratio=4, d=32, epochs=6)
+    assert evaluate_deeper(ds, cfg, spark=spark) == evaluate_deeper(ds, cfg)
+    assert spark.range(5).count() == 5
