@@ -22,10 +22,9 @@ def reduction_ratio(n_candidates: int, n_a: int, n_b: int) -> float:
 
 def end_to_end_pr(predicted: set, matches: set) -> tuple[float, float]:
     """Precision/recall of a full block->classify pipeline's predicted
-    match set against ground truth."""
-    if not predicted:
-        return 0.0, 0.0
+    match set against ground truth. With no matches to find, recall is 1.0
+    (as in ``pair_completeness``); with no predictions, precision is 0.0."""
     tp = len(predicted & matches)
-    prec = tp / len(predicted)
+    prec = tp / len(predicted) if predicted else 0.0
     rec = tp / len(matches) if matches else 1.0
     return prec, rec

@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from repro.blocking.lsh import lsh_codes_np
-from repro.core.similarity import tuple_cosine
+from repro.core.similarity import cosine_topk
 
 
 def probe_offsets(K: int, n_probes: int) -> list[int]:
@@ -35,6 +35,8 @@ def multiprobe_topn_candidates(mat_a: np.ndarray, mat_b: np.ndarray,
     """Algorithm 5 on the driver: for each A-tuple, collect B-tuples from
     all probed buckets across the L tables, rank by cosine, keep top-N.
 
+    A-tuples with the same L codes probe the same buckets, so each such
+    group is ranked against its candidate set in one ``cosine_topk`` call.
     Returns row-index pairs ``(i, j)``. Raises ``ValueError`` unless
     ``0 <= n_probes <= K`` and ``top_n >= 1``.
     """
@@ -46,26 +48,27 @@ def multiprobe_topn_candidates(mat_a: np.ndarray, mat_b: np.ndarray,
     codes_a = lsh_codes_np(mat_a, planes)
     codes_b = lsh_codes_np(mat_b, planes)
     offsets = probe_offsets(K, n_probes)
+    norm_b = np.linalg.norm(mat_b, axis=-1)
 
-    tables: list[dict[int, list[int]]] = []
+    tables: list[dict[int, np.ndarray]] = []
     for l in range(L):
-        buckets: dict[int, list[int]] = {}
-        for j, c in enumerate(codes_b[:, l]):
-            buckets.setdefault(int(c), []).append(j)
-        tables.append(buckets)
+        order = np.argsort(codes_b[:, l], kind="stable")
+        code, first = np.unique(codes_b[order, l], return_index=True)
+        tables.append(dict(zip(code.tolist(), np.split(order, first[1:]))))
 
     out: set[tuple[int, int]] = set()
-    for i in range(len(mat_a)):
-        cand: set[int] = set()
-        for l in range(L):
-            home = int(codes_a[i, l])
-            for off in offsets:
-                cand.update(tables[l].get(home ^ off, ()))
-        if not cand:
+    homes, group = np.unique(codes_a, axis=0, return_inverse=True)
+    by_group = np.argsort(group, kind="stable")
+    bounds = np.cumsum(np.bincount(group))
+    empty = np.empty(0, np.intp)
+    for home, rows in zip(homes.tolist(), np.split(by_group, bounds[:-1])):
+        cand = np.unique(np.concatenate(
+            [tables[l].get(h ^ off, empty)
+             for l, h in enumerate(home) for off in offsets]))
+        if not len(cand):
             continue
-        cand_list = sorted(cand)
-        sims = tuple_cosine(mat_a[i][None, :], mat_b[cand_list])
-        keep = np.argsort(-sims)[:top_n]
-        for k in keep:
-            out.add((i, cand_list[int(k)]))
+        ranked = cosine_topk(mat_a[rows], mat_b[cand], top_n,
+                             norm_b=norm_b[cand])
+        for i, (keep, _) in zip(rows.tolist(), ranked):
+            out.update((i, j) for j in cand[keep].tolist())
     return out

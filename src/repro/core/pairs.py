@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.similarity import tuple_cosine
+from repro.core.similarity import cosine_topk, tuple_cosine
 from repro.er_data.datasets import ERDataset
 
 
@@ -20,49 +20,49 @@ def sample_pairs(ds: ERDataset, vec_a: np.ndarray, vec_b: np.ndarray,
                  neg_ratio: int = 10, seed: int = 0):
     """Build the labeled pair set.
 
-    Returns ``(pairs, labels)`` where pairs are ``(id_a, id_b)`` and labels
-    are 1.0 for matches. Negatives per positive: ``neg_ratio``, half drawn
-    as informative near-misses (highest-cosine non-matches from a random
-    candidate pool), half uniform.
+    Returns ``(pairs, labels, threshold)`` where pairs are ``(id_a, id_b)``
+    and labels are 1.0 for matches. Negatives per positive: ``neg_ratio``,
+    half drawn as informative near-misses (highest-cosine non-matches), half
+    uniform; both lie below the threshold. Raises ``ValueError`` if
+    ``neg_ratio < 0``.
     """
+    if neg_ratio < 0:
+        raise ValueError(f"neg_ratio must be >= 0, got {neg_ratio}")
     rng = np.random.default_rng(seed)
-    pos_a = {a for a, _ in ds.matches}
     row_a = {t: i for i, t in enumerate(ids_a)}
     row_b = {t: i for i, t in enumerate(ids_b)}
     match_of = {a: b for a, b in ds.matches}
 
-    pairs: list[tuple[str, str]] = []
-    labels: list[float] = []
-
-    pos_sims = []
-    for a, b in sorted(ds.matches):
-        pairs.append((a, b))
-        labels.append(1.0)
-        pos_sims.append(float(tuple_cosine(vec_a[row_a[a]], vec_b[row_b[b]])))
+    pairs: list[tuple[str, str]] = sorted(ds.matches)
+    labels: list[float] = [1.0] * len(pairs)
+    ia = np.fromiter((row_a[a] for a, _ in pairs), np.intp, len(pairs))
+    ib = np.fromiter((row_b[b] for _, b in pairs), np.intp, len(pairs))
+    pos_sims = tuple_cosine(vec_a[ia], vec_b[ib])
     # Paper: minimum matched similarity. We use the 5th percentile — with
     # synthetic noise a single badly corrupted match can drag the strict
     # minimum to ~0, which would make every negative trivially easy.
-    threshold = float(np.percentile(pos_sims, 5)) if pos_sims else 0.0
+    threshold = float(np.percentile(pos_sims, 5)) if pairs else 0.0
 
     n_b = len(ids_b)
-    norm_b = np.linalg.norm(vec_b, axis=-1)
     # equal ids share a code, so "not the match" is an integer compare
     code_of = {t: c for c, t in enumerate(dict.fromkeys(ids_b))}
     code_b = np.fromiter((code_of[t] for t in ids_b), np.int64, n_b)
     n_hard, n_easy = neg_ratio - neg_ratio // 2, neg_ratio // 2
+    # rank as many extra as one id has rows: the match's own rows may sit
+    # among the top ones and are dropped from ``hard``
+    n_top = n_hard + np.bincount(code_b).max() if n_hard and n_b else 0
+    pos_a = sorted({a for a, _ in ds.matches})
+    rows_a = np.fromiter((row_a[a] for a in pos_a), np.intp, len(pos_a))
+    # Paper §5.1: negatives are non-matches whose cosine lies *below* the
+    # minimum matched-pair similarity (the candidate threshold); among
+    # those, prefer the most similar ones (informative near-misses, the
+    # "truck not dog" principle). Pairs above the threshold are boundary
+    # cases excluded from the labeled set.
+    ranked = cosine_topk(vec_a[rows_a], vec_b, int(n_top), below=threshold)
     seen = set(pairs)
-    for a in sorted(pos_a):
-        # Paper §5.1: negatives are non-matches whose cosine lies *below*
-        # the minimum matched-pair similarity (the candidate threshold);
-        # among those, prefer the most similar ones (informative
-        # near-misses, the "truck not dog" principle). Pairs above the
-        # threshold are boundary cases excluded from the labeled set.
-        sims = tuple_cosine(vec_a[row_a[a]][None, :], vec_b, norm_b)
-        below = sims < threshold
+    for a, (top, below) in zip(pos_a, ranked):
         other = code_b != code_of.get(match_of[a], -1)
-        order = np.flatnonzero(below)
-        order = order[np.argsort(-sims[order])]
-        hard = order[other[order]][:n_hard]
+        hard = top[other[top]][:n_hard]
         perm = rng.permutation(n_b)
         easy = perm[(below & other)[perm]][:n_easy]
         for bi in np.concatenate([hard, easy]).tolist():

@@ -4,6 +4,11 @@ Similarity").
 AVG path: per-attribute cosine over each ``d``-dim block → ``m``-dim
 similarity vector. LSTM path: element-wise vector difference (abs) or
 hadamard product of the composed vectors.
+
+Ranking B-tuples by whole-tuple cosine for each A-tuple (§5.1 negatives,
+§4.4 top-N) goes through ``cosine_topk``: screen a block with one matrix
+product, confirm the few entries that matter with the exact formula
+(FAISS-style exact search, Johnson et al. 2017).
 """
 from __future__ import annotations
 
@@ -35,11 +40,104 @@ def hadamard(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
 
 def tuple_cosine(va: np.ndarray, vb: np.ndarray,
                  norm_b: np.ndarray | None = None) -> np.ndarray:
-    """Whole-tuple cosine of concatenated DRs (used by the pair sampler's
-    similarity threshold and by blocking's top-N ranking). ``norm_b`` is
-    ``np.linalg.norm(vb, axis=-1)`` when the caller already has it."""
+    """Whole-tuple cosine of concatenated DRs, row by row: the exact
+    formula behind the pair sampler's threshold and every ranking decision
+    of ``cosine_topk``. ``norm_b`` is ``np.linalg.norm(vb, axis=-1)`` when
+    the caller already has it.
+
+    Each row's dot product is an elementwise product summed along the row,
+    so a row's value does not depend on which other rows share the call.
+    """
     if norm_b is None:
         norm_b = np.linalg.norm(vb, axis=-1)
     num = (va * vb).sum(axis=-1)
     den = (np.linalg.norm(va, axis=-1) * norm_b) + _EPS
     return num / den
+
+
+_SCREEN_TOL = 1e-9  # least error allowance of the BLAS screen
+_BLOCK = 1 << 17    # entries per score block and per exact-recompute chunk
+
+
+def cosine_topk(va: np.ndarray, vb: np.ndarray, k: int, *,
+                below: float = np.inf, norm_b: np.ndarray | None = None):
+    """Exact top-``k`` of each row of ``va`` against the rows of ``vb``.
+
+    Yields, for each row of ``va`` in order, ``(top, is_below)``:
+    ``is_below`` is the row's ``tuple_cosine(...) < below`` mask over
+    ``vb``, and ``top`` holds the ``vb`` row indices of its ``k`` largest
+    cosines among the entries below ``below``, largest first: exactly
+    ``order[np.argsort(-sims[order])][:k]`` with
+    ``order = np.flatnonzero(is_below)`` on the full exact row ``sims``.
+    Rows are finite; ``norm_b`` is ``np.linalg.norm(vb, axis=-1)``.
+
+    The screen scores a block of rows with one ``va @ vb.T`` over norms
+    computed once. Its value differs from ``tuple_cosine``'s by at most
+    ``2*gamma_d + 2u`` (``u`` the unit roundoff, ``gamma_d = d*u/(1-d*u)``:
+    both dot products err by at most ``gamma_d * |a| |b|``), which
+    ``tol = max(1e-9, 8*d*u)`` bounds. So an entry whose screened value
+    lies farther than ``tol`` from ``below`` is on its screened side, and
+    an entry screened more than ``2*tol`` under a row's ``k``-th screened
+    value cannot be in its exact top ``k``. Only the entries left, the
+    row's top ``k`` plus the near ones, are recomputed with
+    ``tuple_cosine``; every decision is taken on those exact values. When
+    exact values tie inside the top ``k`` or at its cut, the order
+    ``argsort`` gives depends on the whole row, so that row is ranked
+    from its exact full row instead.
+    """
+    if norm_b is None:
+        norm_b = np.linalg.norm(vb, axis=-1)
+    norm_a = np.linalg.norm(va, axis=-1)
+    step = max(1, _BLOCK // max(len(vb), 1))
+    for s in range(0, len(va), step):
+        yield from _topk_block(va[s:s + step], norm_a[s:s + step], vb,
+                               norm_b, k, below)
+
+
+def _topk_block(va, norm_a, vb, norm_b, k, below):
+    n_r, n_c = len(va), len(vb)
+    scores = va @ vb.T
+    scores /= np.multiply.outer(norm_a, norm_b) + _EPS
+    tol = max(_SCREEN_TOL, 8 * va.shape[1] * np.finfo(scores.dtype).eps)
+
+    is_below = scores < below
+    r, c = np.nonzero(np.abs(scores - below) <= tol)
+    is_below[r, c] = _cosine_pairs(va, vb, norm_b, r, c) < below
+    scores[~is_below] = -np.inf
+    if k == 0:
+        lo = np.full(n_r, np.inf)
+    elif k > n_c:
+        lo = np.full(n_r, -np.inf)
+    else:
+        lo = np.partition(scores, n_c - k, axis=1)[:, n_c - k] - 2 * tol
+    r, c = np.nonzero(is_below & (scores >= lo[:, None]))
+    exact = _cosine_pairs(va, vb, norm_b, r, c)
+    o = np.lexsort((-exact, r))
+    r, c, exact = r[o], c[o], exact[o]
+    starts = np.searchsorted(r, np.arange(n_r + 1))
+    rank = np.arange(len(r)) - starts[r]
+    tied = (r[1:] == r[:-1]) & (exact[1:] == exact[:-1]) & (rank[:-1] < k)
+    fallback = set(r[:-1][tied].tolist())
+    for i in range(n_r):
+        if i in fallback:
+            yield _exact_topk(va[i], vb, norm_b, k, below)
+        else:
+            yield c[starts[i]:min(starts[i] + k, starts[i + 1])], is_below[i]
+
+
+def _exact_topk(row, vb, norm_b, k, below):
+    """One row ranked from its exact full row (the tie fallback)."""
+    sims = tuple_cosine(row[None, :], vb, norm_b)
+    is_below = sims < below
+    order = np.flatnonzero(is_below)
+    return order[np.argsort(-sims[order])][:k], is_below
+
+
+def _cosine_pairs(va, vb, norm_b, r, c):
+    """``tuple_cosine`` of the row pairs ``(va[r], vb[c])``, in chunks."""
+    out = np.empty(len(r), np.result_type(va, vb, norm_b))
+    step = max(1, _BLOCK // max(va.shape[1], 1))
+    for s in range(0, len(r), step):
+        rs, cs = r[s:s + step], c[s:s + step]
+        out[s:s + step] = tuple_cosine(va[rs], vb[cs], norm_b[cs])
+    return out

@@ -1,6 +1,8 @@
 """Tests for LSH blocking (§4): hash family, candidate generation (driver
 and Spark paths, oracle-checked), PC/RR metrics, and the K/L monotonicity
 the paper's Figure 10 documents."""
+from functools import lru_cache
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -22,6 +24,7 @@ from repro.core.compose import (
     avg_tuple_vectors_spark,
     collect_vectors,
 )
+from repro.core.similarity import tuple_cosine
 from repro.embeddings import glove840
 from repro.er_data import load, to_spark
 from repro.oracle import assert_equivalent
@@ -113,6 +116,14 @@ class TestCandidatesDriver:
     def test_pc_empty_matches_is_one(self):
         assert pair_completeness(set(), set()) == 1.0
 
+    @pytest.mark.parametrize("predicted,matches,expected", [
+        (set(), set(), (0.0, 1.0)),
+        ({(0, 0)}, set(), (0.0, 1.0)),
+        (set(), {(0, 0)}, (0.0, 0.0)),
+    ])
+    def test_end_to_end_pr_empty_sets(self, predicted, matches, expected):
+        assert end_to_end_pr(predicted, matches) == expected
+
 
 class TestKLMonotonicity:
     """Figure 10's qualitative laws on real dataset DRs."""
@@ -199,6 +210,81 @@ class TestMultiProbe:
         for i, _ in cand:
             per_a[i] = per_a.get(i, 0) + 1
         assert max(per_a.values()) <= 5
+
+
+def _ref_multiprobe_topn(mat_a, mat_b, planes, *, n_probes=1, top_n=10):
+    """Algorithm 5 one A-tuple at a time: the reference for
+    ``multiprobe_topn_candidates``."""
+    L, K, _ = planes.shape
+    codes_a = lsh_codes_np(mat_a, planes)
+    codes_b = lsh_codes_np(mat_b, planes)
+    offsets = probe_offsets(K, n_probes)
+    tables: list[dict[int, list[int]]] = []
+    for l in range(L):
+        buckets: dict[int, list[int]] = {}
+        for j, c in enumerate(codes_b[:, l]):
+            buckets.setdefault(int(c), []).append(j)
+        tables.append(buckets)
+    out: set[tuple[int, int]] = set()
+    for i in range(len(mat_a)):
+        cand: set[int] = set()
+        for l in range(L):
+            home = int(codes_a[i, l])
+            for off in offsets:
+                cand.update(tables[l].get(home ^ off, ()))
+        if not cand:
+            continue
+        cand_list = sorted(cand)
+        sims = tuple_cosine(mat_a[i][None, :], mat_b[cand_list])
+        for k in np.argsort(-sims)[:top_n]:
+            out.add((i, cand_list[int(k)]))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _drs(name: str):
+    ds = load(name, scale=1.0)
+    dic = glove840(64)
+    return (avg_tuple_matrix(ds.table_a, ds.attributes, dic),
+            avg_tuple_matrix(ds.table_b, ds.attributes, dic))
+
+
+class TestTopNEqualsReference:
+    @pytest.mark.parametrize("name", ["prod_ag", "pub_ds"])
+    @pytest.mark.parametrize("K,L,n_probes,top_n", [
+        (10, 1, 1, 10), (10, 1, 2, 10), (8, 3, 1, 10), (5, 2, 0, 50)])
+    def test_datasets(self, name, K, L, n_probes, top_n, topk_fallbacks):
+        va, vb = _drs(name)
+        planes = random_hyperplanes(va.shape[1], K, L, seed=2)
+        got = multiprobe_topn_candidates(va, vb, planes, n_probes=n_probes,
+                                         top_n=top_n)
+        assert got == _ref_multiprobe_topn(va, vb, planes,
+                                           n_probes=n_probes, top_n=top_n)
+        assert not topk_fallbacks
+
+    @pytest.mark.parametrize("top_n", [1, 2, 3, 5, 10_000])
+    def test_ties_and_null_rows(self, top_n, topk_fallbacks):
+        """Every B row twice, NULL-only (all-zero) rows on both sides; at
+        N = 10,000 every A-tuple keeps its whole candidate set."""
+        rng = np.random.default_rng(7)
+        va = _unit_rows(rng, 40, 16)
+        base = _unit_rows(rng, 60, 16)
+        va[0] = base[5] = 0.0
+        vb = np.concatenate([base, base])
+        planes = random_hyperplanes(16, K=3, L=2, seed=1)
+        got = multiprobe_topn_candidates(va, vb, planes, n_probes=1,
+                                         top_n=top_n)
+        assert got == _ref_multiprobe_topn(va, vb, planes, n_probes=1,
+                                           top_n=top_n)
+        assert topk_fallbacks
+
+    @pytest.mark.parametrize("n_a,n_b", [(0, 20), (20, 0), (0, 0)])
+    def test_empty_side(self, n_a, n_b):
+        rng = np.random.default_rng(3)
+        va, vb = _unit_rows(rng, n_a, 16), _unit_rows(rng, n_b, 16)
+        planes = random_hyperplanes(16, K=4, L=2, seed=0)
+        assert multiprobe_topn_candidates(va, vb, planes, top_n=5) == set()
+        assert _ref_multiprobe_topn(va, vb, planes, top_n=5) == set()
 
 
 class TestSparkBlocking:

@@ -22,10 +22,10 @@ from repro.baselines.simfns import levenshtein, levenshtein_batch
 from repro.core import DeepERConfig, deeper, evaluate_deeper, evaluate_magellan
 from repro.core.compose import avg_tuple_matrix
 from repro.core.pairs import f1_score, kfold_indices, sample_pairs
-from repro.core.similarity import tuple_cosine
+from repro.core.similarity import cosine_topk, tuple_cosine
 from repro.embeddings import glove840
 from repro.embeddings.tokenize import tokenize
-from repro.er_data import load
+from repro.er_data import ERDataset, load
 
 
 class TestSimilarityFunctions:
@@ -358,16 +358,148 @@ def _sampled(name: str, seed: int):
     return ds, va, vb, ids_a, ids_b
 
 
-@pytest.mark.parametrize("name", ["prod_ag", "pub_ds"])
+def _assert_same_pair_set(got, ref):
+    assert got[0] == ref[0]
+    assert np.array_equal(got[1], ref[1])
+    assert got[2] == ref[2]
+
+
+@pytest.mark.parametrize("name", ["prod_ag", "pub_ds", "rest_fz", "pub_dc"])
 @pytest.mark.parametrize("seed", [0, 3])
-def test_sample_pairs_equals_reference(name, seed):
+def test_sample_pairs_equals_reference(name, seed, topk_fallbacks):
     ds, va, vb, ids_a, ids_b = _sampled(name, seed)
     got = sample_pairs(ds, va, vb, ids_a, ids_b, neg_ratio=20, seed=seed)
     ref = _ref_sample_pairs(ds, va, vb, ids_a, ids_b, neg_ratio=20,
                             seed=seed)
-    assert got[0] == ref[0]
-    assert np.array_equal(got[1], ref[1])
-    assert got[2] == ref[2]
+    _assert_same_pair_set(got, ref)
+    # the matched-pair cosines, one row-wise call, equal the per-pair ones
+    row_a = {t: i for i, t in enumerate(ids_a)}
+    row_b = {t: i for i, t in enumerate(ids_b)}
+    pos = [float(tuple_cosine(va[row_a[a]], vb[row_b[b]]))
+           for a, b in sorted(ds.matches)]
+    assert float(np.percentile(pos, 5)) == got[2]
+    # generated DRs have no exact ties: the screen ranks every row
+    assert not topk_fallbacks
+
+
+def test_sample_pairs_rejects_negative_neg_ratio():
+    ds, va, vb, ids_a, ids_b = _sampled("rest_fz", 0)
+    with pytest.raises(ValueError, match="neg_ratio"):
+        sample_pairs(ds, va, vb, ids_a, ids_b, neg_ratio=-1)
+
+
+@pytest.mark.parametrize("neg_ratio", [0, 1])
+def test_sample_pairs_small_neg_ratio_equals_reference(neg_ratio):
+    ds, va, vb, ids_a, ids_b = _sampled("rest_fz", 0)
+    got = sample_pairs(ds, va, vb, ids_a, ids_b, neg_ratio=neg_ratio)
+    _assert_same_pair_set(got, _ref_sample_pairs(ds, va, vb, ids_a, ids_b,
+                                                 neg_ratio=neg_ratio))
+    n_neg = len(got[0]) - len(ds.matches)
+    assert n_neg <= neg_ratio * len(ds.matches)
+    assert (n_neg > 0) == (neg_ratio > 0)
+
+
+def test_sample_pairs_without_matches():
+    ds, va, vb, ids_a, ids_b = _sampled("rest_fz", 0)
+    ds = replace(ds, matches=set())
+    got = sample_pairs(ds, va, vb, ids_a, ids_b)
+    assert got[0] == [] and got[1].size == 0 and got[2] == 0.0
+    _assert_same_pair_set(got, _ref_sample_pairs(ds, va, vb, ids_a, ids_b))
+
+
+def _tied_pair_set():
+    """21 matches, every B row twice under two ids, and NULL-only
+    (all-zero) rows on both sides. With 21 matched cosines the 5th
+    percentile is one of them, so the duplicate of that match's B row
+    lies exactly on the threshold, and every row's ranking has ties."""
+    rng = np.random.default_rng(0)
+    va = rng.standard_normal((30, 12))
+    base = rng.standard_normal((40, 12))
+    base[:21] = va[:21] + 0.6 * rng.standard_normal((21, 12))
+    base[-2:] = 0.0
+    va[20] = 0.0
+    vb = np.concatenate([base, base])
+    ids_a = [f"a{i}" for i in range(len(va))]
+    ids_b = [f"b{j}" for j in range(len(vb))]
+    ds = ERDataset("tied", "easy", [], pd.DataFrame(), pd.DataFrame(),
+                   {(f"a{i}", f"b{i}") for i in range(21)})
+    return ds, va, vb, ids_a, ids_b
+
+
+@pytest.mark.parametrize("neg_ratio", [1, 2, 6, 20, 200])
+def test_sample_pairs_ties_fall_back_to_exact_rows(neg_ratio,
+                                                   topk_fallbacks):
+    ds, va, vb, ids_a, ids_b = _tied_pair_set()
+    got = sample_pairs(ds, va, vb, ids_a, ids_b, neg_ratio=neg_ratio)
+    _assert_same_pair_set(got, _ref_sample_pairs(ds, va, vb, ids_a, ids_b,
+                                                 neg_ratio=neg_ratio))
+    on_threshold = tuple_cosine(va[:21], vb[40:61]) == got[2]
+    assert on_threshold.any()
+    assert topk_fallbacks
+
+
+def _ref_topk(va, vb, k, below):
+    out = []
+    for row in va:
+        sims = tuple_cosine(row[None, :], vb)
+        order = np.flatnonzero(sims < below)
+        out.append((order[np.argsort(-sims[order])][:k], sims < below))
+    return out
+
+
+class TestCosineTopk:
+    @staticmethod
+    def _check(va, vb, k, below=np.inf):
+        got = list(cosine_topk(va, vb, k, below=below))
+        ref = _ref_topk(va, vb, k, below)
+        assert len(got) == len(ref)
+        for (top, is_below), (ref_top, ref_below) in zip(got, ref):
+            assert top.tolist() == ref_top.tolist()
+            assert np.array_equal(is_below, ref_below)
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 1500, 1501])
+    @pytest.mark.parametrize("below", [np.inf, 0.1, -0.3])
+    def test_equals_full_row_ranking(self, k, below, topk_fallbacks):
+        # 1,500 columns: the 200 rows span several score blocks
+        rng = np.random.default_rng(k)
+        va = rng.standard_normal((200, 24))
+        vb = rng.standard_normal((1500, 24))
+        self._check(va, vb, k, below)
+        assert not topk_fallbacks
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 60])
+    def test_ties_fall_back_to_exact_rows(self, k, topk_fallbacks):
+        rng = np.random.default_rng(1)
+        va = rng.standard_normal((20, 8))
+        base = rng.standard_normal((25, 8))
+        vb = np.concatenate([base, base, base[:5]])
+        on_a_value = float(tuple_cosine(va[0], vb[3]))
+        for below in (np.inf, on_a_value, np.nextafter(on_a_value, 2.0)):
+            self._check(va, vb, k, below)
+        assert topk_fallbacks
+
+    def test_values_closer_than_the_screen_error(self):
+        """B rows 1e-15 apart: exact cosines differ by a few ulps, about
+        the screen's own error, so only the exact confirmation ranks them
+        right."""
+        rng = np.random.default_rng(5)
+        vb = rng.standard_normal(64) + 1e-15 * rng.standard_normal((400, 64))
+        va = rng.standard_normal((50, 64))
+        mid = float(np.median(tuple_cosine(va[0][None, :], vb)))
+        for k in (1, 5, 20):
+            for below in (np.inf, mid):
+                self._check(va, vb, k, below)
+
+    def test_zero_rows_and_empty_sides(self):
+        rng = np.random.default_rng(2)
+        va = rng.standard_normal((6, 8))
+        vb = rng.standard_normal((9, 8))
+        va[1] = vb[4] = vb[7] = 0.0
+        for below in (np.inf, 0.0, 0.5):
+            self._check(va, vb, 3, below)
+        assert list(cosine_topk(va[:0], vb, 3)) == []
+        for top, is_below in cosine_topk(va, vb[:0], 3):
+            assert top.size == 0 and is_below.size == 0
 
 
 class TestFeaturizePairs:

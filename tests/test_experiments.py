@@ -59,6 +59,14 @@ class TestBlockingSweeps:
         rows = multiprobe_rows(scale=0.15)
         assert len(rows) == 4 * 3
 
+    def test_multiprobe_table_equals_committed_result(self):
+        """The Figure-12 table, rebuilt in memory, is byte-identical to
+        ``results/multiprobe.md`` (``benchmarks/bench_blocking.py``)."""
+        text = format_table(multiprobe_rows(), "Multi-probe LSH recall and "
+                                               "candidates kept (K=10, L=1)")
+        committed = Path(__file__).resolve().parents[1] / "results"
+        assert text == (committed / "multiprobe.md").read_text()
+
 
 class TestFormatting:
     def test_format_table_alignment(self):
