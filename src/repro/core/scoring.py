@@ -18,6 +18,7 @@ from pyspark.sql import types as T
 from repro.core.compose import collect_vectors
 from repro.core.model import AvgDeepER
 from repro.core.similarity import per_attribute_cosine
+from repro.nn import sigmoid
 
 _SCORE_SCHEMA = T.StructType([
     T.StructField("id_a", T.StringType()),
@@ -39,7 +40,7 @@ def export_head(model: AvgDeepER) -> dict:
 def _head_forward(weights: dict, X: np.ndarray) -> np.ndarray:
     h = np.tanh(X @ weights["W1"] + weights["b1"])
     z = h @ weights["W2"] + weights["b2"]
-    return 1.0 / (1.0 + np.exp(-z[:, 0]))
+    return sigmoid(z[:, 0])
 
 
 def score_candidates_spark(cands: DataFrame, vec_a: DataFrame,

@@ -5,6 +5,12 @@ neither, so we implement the required pieces from scratch: dense layers,
 uni-/bi-directional LSTM encoders with full backpropagation-through-time,
 binary cross-entropy, and the Adam optimizer. Everything is gradient-checked
 in ``tests/test_nn_grad.py``.
+
+A module is any object with ``.params`` / ``.grads`` dicts of float64 arrays
+and ``zero_grad()``. Adam owns flat storage: once a module is handed to an
+``Adam`` (or a ``TrainLoop``), its params and grads are views of the
+optimizer's buffers, so the module must update them in place and never
+rebind them.
 """
 from repro.nn.adam import Adam, TrainLoop
 from repro.nn.layers import Dense, bce_loss, sigmoid, tanh

@@ -3,7 +3,8 @@
 Conventions: every layer exposes ``forward(x)`` returning the output and
 stashing a cache, and ``backward(dout)`` returning the gradient w.r.t. the
 input while accumulating parameter gradients in ``.grads`` (keyed like
-``.params``). Parameters are plain numpy arrays so the Adam optimizer can
+``.params``). Parameters are plain numpy arrays; an Adam optimizer rebinds
+them and their grads to views of its flat buffers, so layers only ever
 update them in place.
 """
 from __future__ import annotations
@@ -12,13 +13,14 @@ import numpy as np
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Numerically stable logistic sigmoid.
+
+    ``exp`` only ever sees ``-|x|``, so it cannot overflow: ``1 / (1 + e)``
+    for ``x >= 0`` and ``e / (1 + e)`` below, with ``e = exp(-|x|)``.
+    """
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d).astype(np.float64, copy=False)
 
 
 def tanh(x: np.ndarray) -> np.ndarray:
@@ -78,13 +80,18 @@ class Dense:
             g[...] = 0.0
 
 
-def bce_loss(p: np.ndarray, y: np.ndarray, eps: float = 1e-9):
-    """Mean binary cross-entropy and its gradient w.r.t. probabilities ``p``.
-
-    Returns ``(loss, dp)`` where ``dp`` already includes the 1/N mean factor.
-    """
+def bce_grad(p: np.ndarray, y: np.ndarray, eps: float = 1e-9) -> np.ndarray:
+    """Gradient of the mean binary cross-entropy w.r.t. probabilities ``p``
+    (clipped to ``[eps, 1 - eps]``), 1/N mean factor included."""
     p = np.clip(p, eps, 1.0 - eps)
-    n = p.shape[0]
-    loss = -float(np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-    dp = (p - y) / (p * (1.0 - p)) / n
-    return loss, dp
+    return (p - y) / (p * (1.0 - p)) / p.shape[0]
+
+
+def bce_loss(p: np.ndarray, y: np.ndarray, eps: float = 1e-9):
+    """Mean binary cross-entropy and its gradient :func:`bce_grad`.
+
+    Returns ``(loss, dp)``.
+    """
+    q = np.clip(p, eps, 1.0 - eps)
+    loss = -float(np.mean(y * np.log(q) + (1.0 - y) * np.log(1.0 - q)))
+    return loss, bce_grad(p, y, eps)

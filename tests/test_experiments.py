@@ -15,6 +15,7 @@ from repro.experiments import (
     format_table,
     multiprobe_rows,
     table3_rows,
+    table4_rows,
     write_result,
 )
 
@@ -66,6 +67,16 @@ class TestBlockingSweeps:
                                                "candidates kept (K=10, L=1)")
         committed = Path(__file__).resolve().parents[1] / "results"
         assert text == (committed / "multiprobe.md").read_text()
+
+
+class TestTable4:
+    def test_table4_equals_committed_result(self):
+        """Table 4, rebuilt in memory on the driver path, is byte-identical
+        to ``results/table4.md`` (``benchmarks/bench_table4.py`` writes it
+        through the Spark DR path)."""
+        text = format_table(table4_rows(), "Table 4 — DeepER vs Magellan (F1 %)")
+        committed = Path(__file__).resolve().parents[1] / "results"
+        assert text == (committed / "table4.md").read_text()
 
 
 class TestFormatting:

@@ -7,7 +7,7 @@ an untrainable DeepER model, so these are the foundation tests.
 import numpy as np
 import pytest
 
-from repro.nn import LSTM, BiLSTM, Dense, bce_loss
+from repro.nn import LSTM, BiLSTM, Dense, bce_loss, sigmoid
 
 
 def _num_grad(f, x, eps=1e-6):
@@ -158,3 +158,34 @@ class TestBCE:
     def test_clipping_keeps_loss_finite(self):
         loss, dp = bce_loss(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
         assert np.isfinite(loss) and np.all(np.isfinite(dp))
+
+
+def _ref_sigmoid(x):
+    """The boolean-mask sigmoid the branch-free one replaced."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    GRID = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e-300, -1e-300,
+                     36.7, -36.7, 750.0, -750.0])
+
+    @pytest.mark.parametrize("x", [
+        GRID,
+        np.random.default_rng(0).normal(0, 5, (16, 1)),
+        np.random.default_rng(1).normal(0, 50, (8192, 1)),
+        np.random.default_rng(2).normal(0, 800, (16, 96)),
+    ], ids=["grid", "16x1", "8192x1", "16x96"])
+    def test_equals_masked_formula(self, x):
+        with np.errstate(all="ignore"):  # the reference overflows exp(750)
+            want = _ref_sigmoid(x)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = sigmoid(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        num = ~np.isnan(want)  # a NaN's sign bit carries no value
+        assert np.array_equal(np.signbit(got[num]), np.signbit(want[num]))

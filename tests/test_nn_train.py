@@ -4,8 +4,13 @@ These are end-to-end sanity checks on toy tasks that exercise the same
 optimization loop DeepER uses (Adam, mini-batches, BCE).
 """
 import numpy as np
+import pytest
 
-from repro.nn import LSTM, Adam, Dense, bce_loss
+import repro.core.model as model_mod
+import repro.nn.adam as adam_mod
+from repro.baselines.magellan_lite import MagellanLite
+from repro.core.model import AvgDeepER, AvgDeepEREndToEnd, LSTMDeepER
+from repro.nn import LSTM, Adam, Dense, TrainLoop, bce_loss
 
 
 def test_dense_learns_linearly_separable():
@@ -93,3 +98,194 @@ def test_weight_decay_shrinks_unused_weights():
         layer.backward(np.zeros((4, 1)))
         opt.step()
     assert np.abs(layer.params["W"]).max() < 10.0
+
+
+# -- bit-identity with the per-parameter optimizer ----------------------------
+
+class _RefAdam:
+    """The per-parameter Adam that the flat-buffer one replaced, kept as the
+    reference its results must equal bit for bit."""
+
+    def __init__(self, modules, *, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8,
+                 weight_decay=1e-3):
+        self.modules = list(modules)
+        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+        self.weight_decay = weight_decay
+        self.t = 0
+        self._m = [{k: np.zeros_like(v) for k, v in mod.params.items()}
+                   for mod in self.modules]
+        self._v = [{k: np.zeros_like(v) for k, v in mod.params.items()}
+                   for mod in self.modules]
+
+    def zero_grad(self):
+        for mod in self.modules:
+            mod.zero_grad()
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - self.b1 ** self.t
+        bc2 = 1.0 - self.b2 ** self.t
+        for mod, ms, vs in zip(self.modules, self._m, self._v):
+            for k, p in mod.params.items():
+                g = mod.grads[k]
+                if self.weight_decay and p.ndim > 1:
+                    g = g + self.weight_decay * p
+                ms[k] = self.b1 * ms[k] + (1.0 - self.b1) * g
+                vs[k] = self.b2 * vs[k] + (1.0 - self.b2) * g * g
+                p -= self.lr * (ms[k] / bc1) / (np.sqrt(vs[k] / bc2) + self.eps)
+
+
+def _ref_run(self, n, forward, backward, y):
+    """``TrainLoop.run`` as it was: the loss is computed, then dropped."""
+    for _ in range(self.epochs):
+        order = self.rng.permutation(n)
+        for s in range(0, n, self.batch):
+            idx = order[s:s + self.batch]
+            p = forward(idx)
+            _, dp = bce_loss(p, y[idx])
+            self.opt.zero_grad()
+            backward(idx, dp)
+            self.opt.step()
+
+
+def _fit_both(build, fit):
+    """``(reference, flat)`` models: each built by ``build()`` and trained by
+    ``fit(model)``, the first with ``_RefAdam`` and ``_ref_run``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adam_mod, "Adam", _RefAdam)
+        mp.setattr(model_mod, "Adam", _RefAdam)
+        mp.setattr(adam_mod.TrainLoop, "run", _ref_run)
+        ref = build()
+        fit(ref)
+    new = build()
+    fit(new)
+    return ref, new
+
+
+def _named_params(model):
+    out = {}
+    for name, mod in vars(model).items():
+        if isinstance(mod, (_RefAdam, Adam)):
+            continue
+        for sub, m in [(name, mod)] + [(f"{name}.{i}", x) for i, x in
+                                       enumerate(getattr(mod, "modules", []))]:
+            for k, v in getattr(m, "params", {}).items():
+                out[f"{sub}.{k}"] = v
+    return out
+
+
+def _assert_same_params(ref, new):
+    a, b = _named_params(ref), _named_params(new)
+    assert a and a.keys() == b.keys()
+    for k in a:
+        assert np.array_equal(a[k], b[k]), k
+
+
+def _token_data(rng, n=40, m=2, T=4, vocab=20):
+    ids = [rng.integers(0, vocab, size=(n, m, T)) for _ in range(2)]
+    masks = [(rng.random((n, m, T)) < 0.7).astype(float) for _ in range(2)]
+    for mk in masks:
+        mk[:, :, 0] = 1.0
+    y = (rng.random(n) < 0.4).astype(float)
+    return ids[0], masks[0], ids[1], masks[1], y
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_avg_deeper_equals_reference(seed):
+    rng = np.random.default_rng(seed)
+    X = rng.random((50, 4))
+    y = (X.sum(axis=1) > 2.0).astype(float)
+    ref, new = _fit_both(lambda: AvgDeepER(4, hidden=6, epochs=3, batch=8,
+                                           seed=seed),
+                         lambda mdl: mdl.fit(X, y))
+    _assert_same_params(ref, new)
+    assert np.array_equal(ref.predict_proba(X), new.predict_proba(X))
+
+
+def test_magellan_equals_reference():
+    """Magellan-lite draws its batches from the generator that initialised
+    its layer, so the two runs must also consume it identically."""
+    rng = np.random.default_rng(1)
+    X = rng.random((70, 6))
+    y = (X[:, 0] > 0.5).astype(float)
+    ref, new = _fit_both(lambda: MagellanLite(6, epochs=3, batch=8, seed=2),
+                         lambda mdl: mdl.fit(X, y))
+    _assert_same_params(ref, new)
+    assert np.array_equal(ref.predict_proba(X), new.predict_proba(X))
+
+
+def test_end_to_end_with_embedding_updates_equals_reference():
+    data = _token_data(np.random.default_rng(4))
+    emb = np.random.default_rng(5).normal(size=(20, 5))
+    ref, new = _fit_both(
+        lambda: AvgDeepEREndToEnd(2, emb, hidden=6, epochs=2, batch=8,
+                                  update_embeddings=True),
+        lambda mdl: mdl.fit(*data))
+    _assert_same_params(ref, new)
+    assert not np.array_equal(new.emb.params["E"], emb)  # embeddings moved
+    assert np.array_equal(ref.predict_proba(*data[:4]),
+                          new.predict_proba(*data[:4]))
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_lstm_deeper_equals_reference(bidirectional):
+    data = _token_data(np.random.default_rng(6))
+    emb = np.random.default_rng(7).normal(size=(20, 5))
+    ref, new = _fit_both(
+        lambda: LSTMDeepER(2, emb, bidirectional=bidirectional, lstm_dim=4,
+                           hidden=5, epochs=2, batch=8, seed=1),
+        lambda mdl: mdl.fit(*data))
+    _assert_same_params(ref, new)
+    assert np.array_equal(ref.predict_proba(*data[:4]),
+                          new.predict_proba(*data[:4]))
+
+
+class _Vector:
+    """A module with only 1-D params: its optimizer's decayed prefix is empty."""
+
+    def __init__(self):
+        self.params = {"x": np.array([5.0, -3.0, 0.5]), "y": np.array([2.0])}
+        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+
+    def zero_grad(self):
+        for g in self.grads.values():
+            g[...] = 0.0
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+@pytest.mark.parametrize("make", [
+    lambda: [_Vector()],
+    lambda: [Dense(3, 4, rng=np.random.default_rng(0)), _Vector(),
+             LSTM(2, 3, rng=np.random.default_rng(1))],
+], ids=["1d-only", "mixed"])
+def test_adam_steps_equal_reference(make, weight_decay):
+    trajectories = []
+    for cls in (_RefAdam, Adam):
+        modules = make()
+        opt = cls(modules, lr=0.05, weight_decay=weight_decay)
+        for step in range(25):
+            opt.zero_grad()
+            for mod in modules:
+                for k, p in mod.params.items():
+                    mod.grads[k] += np.sin(p * (step + 1)) + 0.1
+            opt.step()
+        trajectories.append([p.copy() for mod in modules
+                             for p in mod.params.values()])
+    ref, new = trajectories
+    assert all(np.array_equal(a, b) for a, b in zip(ref, new))
+
+
+def test_adam_rejects_module_listed_twice():
+    layer = Dense(3, 2)
+    with pytest.raises(ValueError, match="listed twice"):
+        Adam([layer, layer])
+
+
+def test_adam_rejects_module_owned_by_another_optimizer():
+    layer = Dense(3, 2)
+    Adam([layer])
+    with pytest.raises(ValueError, match="another Adam"):
+        Adam([layer])
+    with pytest.raises(ValueError, match="another Adam"):
+        TrainLoop([layer], lr=0.01, epochs=1, batch=4,
+                  rng=np.random.default_rng(0))

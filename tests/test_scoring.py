@@ -14,7 +14,7 @@ from repro.blocking import (
 from repro.core.compose import avg_tuple_matrix, avg_tuple_vectors_spark
 from repro.core.model import AvgDeepER
 from repro.core.pairs import sample_pairs
-from repro.core.scoring import score_candidates_spark
+from repro.core.scoring import _head_forward, export_head, score_candidates_spark
 from repro.core.similarity import per_attribute_cosine
 from repro.embeddings import glove840
 from repro.er_data import load, to_spark
@@ -95,3 +95,20 @@ def test_no_candidates_give_empty_frame(spark, setup):
     empty = spark.createDataFrame([], "id_a string, id_b string")
     got = _scored(empty, setup)
     assert len(got) == 0
+
+
+def test_head_forward_equals_predict_proba():
+    """The broadcast head gives the driver model's probabilities exactly,
+    without overflow, also where ``|z|`` is far beyond ``exp``'s range."""
+    rng = np.random.default_rng(0)
+    X = rng.random((300, 5))
+    model = AvgDeepER(5, epochs=2, seed=0).fit(X, (X.sum(axis=1) > 2.5) * 1.0)
+    model.clf.params["W"] *= 1e4  # in place: the optimizer owns the array
+    X = np.vstack([X, -X, rng.normal(0, 10, (300, 5))])
+    w = export_head(model)
+    z = np.tanh(X @ w["W1"] + w["b1"]) @ w["W2"] + w["b2"]
+    assert (z < -745).any() and (z > 745).any()
+    with np.errstate(over="raise"):
+        got = _head_forward(w, X)
+        want = model.predict_proba(X)
+    assert np.array_equal(got, want)
