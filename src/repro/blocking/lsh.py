@@ -42,19 +42,46 @@ def lsh_codes_np(mat: np.ndarray, planes: np.ndarray) -> np.ndarray:
 
 
 def candidate_pairs_np(codes_a: np.ndarray,
-                       codes_b: np.ndarray) -> set[tuple[int, int]]:
-    """Driver-side candidate generation: row-index pairs co-bucketed in at
-    least one of the L tables."""
-    out: set[tuple[int, int]] = set()
-    L = codes_a.shape[1]
-    for l in range(L):
-        buckets: dict[int, list[int]] = {}
-        for i, c in enumerate(codes_a[:, l]):
-            buckets.setdefault(int(c), []).append(i)
-        for j, c in enumerate(codes_b[:, l]):
-            for i in buckets.get(int(c), ()):
-                out.add((i, j))
-    return out
+                       codes_b: np.ndarray) -> np.ndarray:
+    """Driver-side candidate generation: the row-index pairs co-bucketed in
+    at least one of the L tables, as a ``(n, 2)`` int64 array of distinct
+    ``(i, j)`` sorted by ``(i, j)`` (shape ``(0, 2)`` when empty). It is
+    Algorithm 5's bucket probe with zero probes and no top-N pruning."""
+    n_b = len(codes_b)
+    groups = _probe_buckets(codes_a, codes_b, [0])
+    return _pair_rows([(rows[:, None] * n_b + cand).ravel()
+                       for rows, cand in groups], n_b)
+
+
+def _probe_buckets(codes_a: np.ndarray, codes_b: np.ndarray, offsets):
+    """Yield ``(rows, cand)`` for each group of A rows sharing all L codes:
+    ``rows`` holds the group's A row indices and ``cand`` the sorted,
+    distinct B rows whose code in some table ``l`` equals the group's code
+    XOR one of the ``offsets``.
+
+    Each table's B rows are sorted by code once, so a probed bucket is a
+    ``searchsorted`` range of that order.
+    """
+    order = np.argsort(codes_b.T, axis=1, kind="stable")  # (L, n_b)
+    sorted_b = np.take_along_axis(codes_b.T, order, axis=1)
+    homes, group = np.unique(codes_a, axis=0, return_inverse=True)
+    probes = homes.T[:, :, None] ^ np.asarray(offsets, np.int64)  # (L, G, P)
+    lo, hi = (np.stack([np.searchsorted(s, p, side)
+                        for s, p in zip(sorted_b, probes)], axis=1).tolist()
+              for side in ("left", "right"))
+    by_group = np.argsort(group, kind="stable")
+    bounds = np.cumsum(np.bincount(group))
+    for rows, lo_g, hi_g in zip(np.split(by_group, bounds[:-1]), lo, hi):
+        yield rows, np.unique(np.concatenate(
+            [col[a:b] for col, a_l, b_l in zip(order, lo_g, hi_g)
+             for a, b in zip(a_l, b_l)]))
+
+
+def _pair_rows(keys: list[np.ndarray], n_b: int) -> np.ndarray:
+    """Distinct pair keys ``i * n_b + j`` -> the sorted ``(n, 2)`` int64
+    row-index array."""
+    flat = np.sort(np.concatenate([np.empty(0, np.int64), *keys]))
+    return np.stack(np.divmod(flat, n_b), axis=1)
 
 
 # ------------------------------------------------------------- Spark path -

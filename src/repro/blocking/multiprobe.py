@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from repro.blocking.lsh import lsh_codes_np
+from repro.blocking.lsh import _pair_rows, _probe_buckets, lsh_codes_np
 from repro.core.similarity import cosine_topk
 
 
@@ -31,44 +31,29 @@ def probe_offsets(K: int, n_probes: int) -> list[int]:
 
 def multiprobe_topn_candidates(mat_a: np.ndarray, mat_b: np.ndarray,
                                planes: np.ndarray, *, n_probes: int = 1,
-                               top_n: int = 10) -> set[tuple[int, int]]:
+                               top_n: int = 10) -> np.ndarray:
     """Algorithm 5 on the driver: for each A-tuple, collect B-tuples from
     all probed buckets across the L tables, rank by cosine, keep top-N.
 
     A-tuples with the same L codes probe the same buckets, so each such
     group is ranked against its candidate set in one ``cosine_topk`` call.
-    Returns row-index pairs ``(i, j)``. Raises ``ValueError`` unless
-    ``0 <= n_probes <= K`` and ``top_n >= 1``.
+    Returns the kept row-index pairs as ``candidate_pairs_np`` does: a
+    ``(n, 2)`` int64 array sorted by ``(i, j)``. Raises ``ValueError``
+    unless ``0 <= n_probes <= K`` and ``top_n >= 1``.
     """
-    L, K, _ = planes.shape
+    _, K, _ = planes.shape
     if not 0 <= n_probes <= K:
         raise ValueError(f"n_probes must be in [0, K={K}], got {n_probes}")
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
-    codes_a = lsh_codes_np(mat_a, planes)
-    codes_b = lsh_codes_np(mat_b, planes)
-    offsets = probe_offsets(K, n_probes)
+    n_b = len(mat_b)
     norm_b = np.linalg.norm(mat_b, axis=-1)
-
-    tables: list[dict[int, np.ndarray]] = []
-    for l in range(L):
-        order = np.argsort(codes_b[:, l], kind="stable")
-        code, first = np.unique(codes_b[order, l], return_index=True)
-        tables.append(dict(zip(code.tolist(), np.split(order, first[1:]))))
-
-    out: set[tuple[int, int]] = set()
-    homes, group = np.unique(codes_a, axis=0, return_inverse=True)
-    by_group = np.argsort(group, kind="stable")
-    bounds = np.cumsum(np.bincount(group))
-    empty = np.empty(0, np.intp)
-    for home, rows in zip(homes.tolist(), np.split(by_group, bounds[:-1])):
-        cand = np.unique(np.concatenate(
-            [tables[l].get(h ^ off, empty)
-             for l, h in enumerate(home) for off in offsets]))
-        if not len(cand):
-            continue
+    keys = []
+    for rows, cand in _probe_buckets(lsh_codes_np(mat_a, planes),
+                                     lsh_codes_np(mat_b, planes),
+                                     probe_offsets(K, n_probes)):
         ranked = cosine_topk(mat_a[rows], mat_b[cand], top_n,
                              norm_b=norm_b[cand])
-        for i, (keep, _) in zip(rows.tolist(), ranked):
-            out.update((i, j) for j in cand[keep].tolist())
-    return out
+        keys.extend(i * n_b + cand[keep]
+                    for i, (keep, _) in zip(rows.tolist(), ranked))
+    return _pair_rows(keys, n_b)

@@ -5,15 +5,13 @@ from repro.core.compose import (
     encode_attr_tokens,
 )
 from repro.core.deeper import DeepERConfig, evaluate_deeper, evaluate_magellan
-from repro.core.similarity import abs_diff, hadamard, per_attribute_cosine
+from repro.core.similarity import per_attribute_cosine
 
 __all__ = [
     "avg_tuple_matrix",
     "avg_tuple_vectors_spark",
     "encode_attr_tokens",
     "per_attribute_cosine",
-    "abs_diff",
-    "hadamard",
     "DeepERConfig",
     "evaluate_deeper",
     "evaluate_magellan",

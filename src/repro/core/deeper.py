@@ -185,8 +185,7 @@ def evaluate_deeper(ds: ERDataset, cfg: DeepERConfig = DeepERConfig(),
         def factory(fold):
             return AvgDeepEREndToEnd(m, emb, hidden=cfg.hidden, lr=cfg.lr,
                                      epochs=cfg.epochs, batch=cfg.batch,
-                                     seed=cfg.seed + fold,
-                                     update_embeddings=True)
+                                     seed=cfg.seed + fold)
     elif cfg.composition in ("lstm", "bilstm"):
         def factory(fold):
             return LSTMDeepER(m, emb,

@@ -91,7 +91,7 @@ class AvgDeepEREndToEnd:
 
     def __init__(self, m: int, emb_matrix: np.ndarray, *, hidden: int = 24,
                  lr: float = 0.01, emb_lr: float = 0.01, epochs: int = 20,
-                 batch: int = 16, seed: int = 0, update_embeddings: bool = True):
+                 batch: int = 16, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.m = m
         self.emb = _Embedding(emb_matrix)
@@ -99,9 +99,7 @@ class AvgDeepEREndToEnd:
         self.clf = Dense(hidden, 1, activation="sigmoid", rng=rng)
         self.loop = TrainLoop([self.dense, self.clf], lr=lr, epochs=epochs,
                               batch=batch, rng=np.random.default_rng(seed))
-        self.emb_opt = Adam([self.emb], lr=emb_lr, weight_decay=0.0) \
-            if update_embeddings else None
-        self.update_embeddings = update_embeddings
+        self.emb_opt = Adam([self.emb], lr=emb_lr, weight_decay=0.0)
 
     # -- batched forward/backward ------------------------------------------
     def _features(self, idx, data, with_cache=False):
@@ -130,8 +128,6 @@ class AvgDeepEREndToEnd:
 
         def backward(idx, dp):
             dX = self.dense.backward(self.clf.backward(dp[:, None]))
-            if self.emb_opt is None:
-                return
             self.emb.zero_grad()
             dE = self.emb.grads["E"]
             for j in range(self.m):

@@ -2,8 +2,9 @@
 Similarity").
 
 AVG path: per-attribute cosine over each ``d``-dim block → ``m``-dim
-similarity vector. LSTM path: element-wise vector difference (abs) or
-hadamard product of the composed vectors.
+similarity vector. The LSTM path's element-wise |difference| of the
+composed vectors lives in ``model.LSTMDeepER``, whose backward pass needs
+the sign of the difference.
 
 Ranking B-tuples by whole-tuple cosine for each A-tuple (§5.1 negatives,
 §4.4 top-N) goes through ``cosine_topk``: screen a block with one matrix
@@ -25,17 +26,6 @@ def per_attribute_cosine(va: np.ndarray, vb: np.ndarray, m: int,
     num = (a * b).sum(axis=2)
     den = np.linalg.norm(a, axis=2) * np.linalg.norm(b, axis=2) + _EPS
     return num / den
-
-
-def abs_diff(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
-    """Element-wise |difference| of composed vectors (vector-difference
-    similarity in the paper, made sign-invariant for the classifier)."""
-    return np.abs(ha - hb)
-
-
-def hadamard(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
-    """Element-wise product of composed vectors."""
-    return ha * hb
 
 
 def tuple_cosine(va: np.ndarray, vb: np.ndarray,

@@ -45,6 +45,13 @@ class ERDataset:
     def n_matches(self) -> int:
         return len(self.matches)
 
+    def id_pairs(self, ij: np.ndarray) -> set:
+        """``{(id_a, id_b)}`` of ``(n, 2)`` row-index pairs into ``table_a``
+        and ``table_b``, as blocking returns them; ``matches`` is keyed
+        the same way."""
+        return set(zip(self.table_a["id"].to_numpy()[ij[:, 0]].tolist(),
+                       self.table_b["id"].to_numpy()[ij[:, 1]].tolist()))
+
 
 # name -> (domain generator kwargs, sizes, tier, noise config)
 SPECS: dict[str, dict] = {

@@ -189,16 +189,13 @@ def blocking_sweep_rows(scale: float = 0.5, d: int = 64,
         dic = glove840(d)
         va = avg_tuple_matrix(ds.table_a, ds.attributes, dic)
         vb = avg_tuple_matrix(ds.table_b, ds.attributes, dic)
-        row_a = {t: i for i, t in enumerate(ds.table_a["id"])}
-        row_b = {t: i for i, t in enumerate(ds.table_b["id"])}
-        matches = {(row_a[a], row_b[b]) for a, b in ds.matches}
         dim = va.shape[1]
 
         def pc_rr(K, L):
             planes = random_hyperplanes(dim, K, L, seed=seed)
             cands = candidate_pairs_np(lsh_codes_np(va, planes),
                                        lsh_codes_np(vb, planes))
-            return (pair_completeness(cands, matches),
+            return (pair_completeness(ds.id_pairs(cands), ds.matches),
                     reduction_ratio(len(cands), len(va), len(vb)))
 
         for K in range(1, 11):
@@ -220,9 +217,6 @@ def multiprobe_rows(scale: float = 0.5, d: int = 64) -> list[dict]:
     dic = glove840(d)
     va = avg_tuple_matrix(ds.table_a, ds.attributes, dic)
     vb = avg_tuple_matrix(ds.table_b, ds.attributes, dic)
-    row_a = {t: i for i, t in enumerate(ds.table_a["id"])}
-    row_b = {t: i for i, t in enumerate(ds.table_b["id"])}
-    matches = {(row_a[a], row_b[b]) for a, b in ds.matches}
     planes = random_hyperplanes(va.shape[1], K=10, L=1, seed=2)
     rows = []
     for top_n in (10, 20, 30, 50):
@@ -230,7 +224,8 @@ def multiprobe_rows(scale: float = 0.5, d: int = 64) -> list[dict]:
             cand = multiprobe_topn_candidates(va, vb, planes,
                                               n_probes=probes, top_n=top_n)
             rows.append({"top_n": top_n, "probes": probes,
-                         "recall": round(pair_completeness(cand, matches), 3),
+                         "recall": round(pair_completeness(ds.id_pairs(cand),
+                                                           ds.matches), 3),
                          "candidates": len(cand)})
     return rows
 

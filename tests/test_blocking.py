@@ -35,6 +35,34 @@ def _unit_rows(rng, n, d):
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
+def _sorted_pairs(pairs: set) -> np.ndarray:
+    """A set of ``(i, j)`` as the blocking functions return it."""
+    return np.asarray(sorted(pairs), np.int64).reshape(-1, 2)
+
+
+def _assert_pair_contract(ij: np.ndarray, n_b: int):
+    """int64, ``(n, 2)``, and ``i * n_b + j`` strictly increasing: distinct
+    pairs sorted by ``(i, j)``."""
+    assert ij.dtype == np.int64
+    assert ij.ndim == 2 and ij.shape[1] == 2
+    assert np.all(np.diff(ij[:, 0] * n_b + ij[:, 1]) > 0)
+
+
+def _ref_candidate_pairs(codes_a, codes_b) -> set[tuple[int, int]]:
+    """The dict-of-lists join, one tuple at a time: the reference for
+    ``candidate_pairs_np``."""
+    out: set[tuple[int, int]] = set()
+    L = codes_a.shape[1]
+    for l in range(L):
+        buckets: dict[int, list[int]] = {}
+        for i, c in enumerate(codes_a[:, l]):
+            buckets.setdefault(int(c), []).append(i)
+        for j, c in enumerate(codes_b[:, l]):
+            for i in buckets.get(int(c), ()):
+                out.add((i, j))
+    return out
+
+
 class TestHashFamily:
     def test_shapes_and_unit_norm(self):
         p = random_hyperplanes(16, K=8, L=3, seed=1)
@@ -98,12 +126,46 @@ class TestCandidatesDriver:
     def test_simple_buckets(self):
         codes_a = np.array([[0], [1], [2]])
         codes_b = np.array([[1], [2], [9]])
-        assert candidate_pairs_np(codes_a, codes_b) == {(1, 0), (2, 1)}
+        got = candidate_pairs_np(codes_a, codes_b)
+        _assert_pair_contract(got, len(codes_b))
+        np.testing.assert_array_equal(got, [[1, 0], [2, 1]])
 
     def test_union_over_tables(self):
         codes_a = np.array([[0, 5]])
         codes_b = np.array([[0, 9], [7, 5]])
-        assert candidate_pairs_np(codes_a, codes_b) == {(0, 0), (0, 1)}
+        got = candidate_pairs_np(codes_a, codes_b)
+        _assert_pair_contract(got, len(codes_b))
+        np.testing.assert_array_equal(got, [[0, 0], [0, 1]])
+
+    @pytest.mark.parametrize("name", ["prod_ag", "pub_ds"])
+    @pytest.mark.parametrize("K,L", [(5, 6), (14, 10), (1, 1)])
+    def test_datasets_equal_reference(self, name, K, L):
+        va, vb = _drs(name)
+        planes = random_hyperplanes(va.shape[1], K, L, seed=11)
+        codes_a, codes_b = lsh_codes_np(va, planes), lsh_codes_np(vb, planes)
+        got = candidate_pairs_np(codes_a, codes_b)
+        _assert_pair_contract(got, len(vb))
+        assert set(map(tuple, got.tolist())) == \
+            _ref_candidate_pairs(codes_a, codes_b)
+
+    @pytest.mark.parametrize("n_a,n_b", [(0, 20), (20, 0), (0, 0)])
+    def test_empty_side(self, n_a, n_b):
+        rng = np.random.default_rng(3)
+        codes_a = rng.integers(0, 4, (n_a, 3))
+        codes_b = rng.integers(0, 4, (n_b, 3))
+        got = candidate_pairs_np(codes_a, codes_b)
+        _assert_pair_contract(got, n_b)
+        assert got.shape == (0, 2)
+        assert _ref_candidate_pairs(codes_a, codes_b) == set()
+
+    def test_one_shared_bucket_gives_every_pair(self):
+        codes_a = np.zeros((7, 2), np.int64)
+        codes_b = np.zeros((5, 2), np.int64)
+        got = candidate_pairs_np(codes_a, codes_b)
+        _assert_pair_contract(got, 5)
+        assert set(map(tuple, got.tolist())) == \
+            _ref_candidate_pairs(codes_a, codes_b)
+        assert len(got) == 7 * 5
 
     def test_pc_rr_metrics(self):
         cands = {(0, 0), (0, 1), (1, 1)}
@@ -134,36 +196,33 @@ class TestKLMonotonicity:
         d = glove840(48)
         va = avg_tuple_matrix(ds.table_a, ds.attributes, d)
         vb = avg_tuple_matrix(ds.table_b, ds.attributes, d)
-        row_a = {t: i for i, t in enumerate(ds.table_a["id"])}
-        row_b = {t: i for i, t in enumerate(ds.table_b["id"])}
-        matches = {(row_a[a], row_b[b]) for a, b in ds.matches}
-        return va, vb, matches
+        return va, vb, ds
 
-    def _pc_rr(self, va, vb, matches, K, L):
+    def _pc_rr(self, va, vb, ds, K, L):
         planes = random_hyperplanes(va.shape[1], K, L, seed=11)
         cands = candidate_pairs_np(lsh_codes_np(va, planes),
                                    lsh_codes_np(vb, planes))
-        return (pair_completeness(cands, matches),
+        return (pair_completeness(ds.id_pairs(cands), ds.matches),
                 reduction_ratio(len(cands), len(va), len(vb)))
 
     def test_pc_and_rr_decrease_with_k(self, vecs):
-        va, vb, matches = vecs
-        pc1, rr1 = self._pc_rr(va, vb, matches, K=1, L=4)
-        pc8, rr8 = self._pc_rr(va, vb, matches, K=8, L=4)
+        va, vb, ds = vecs
+        pc1, rr1 = self._pc_rr(va, vb, ds, K=1, L=4)
+        pc8, rr8 = self._pc_rr(va, vb, ds, K=8, L=4)
         assert pc1 >= pc8
         assert rr1 > rr8  # far fewer comparisons at higher K
 
     def test_pc_and_rr_increase_with_l(self, vecs):
-        va, vb, matches = vecs
-        pc1, rr1 = self._pc_rr(va, vb, matches, K=4, L=1)
-        pc8, rr8 = self._pc_rr(va, vb, matches, K=4, L=8)
+        va, vb, ds = vecs
+        pc1, rr1 = self._pc_rr(va, vb, ds, K=4, L=1)
+        pc8, rr8 = self._pc_rr(va, vb, ds, K=4, L=8)
         assert pc8 > pc1
         assert rr8 > rr1
 
     def test_k1_l1_buckets_near_half(self, vecs):
         """One hyperplane splits tuples into 2 buckets -> RR ~= 0.5."""
-        va, vb, matches = vecs
-        _, rr = self._pc_rr(va, vb, matches, K=1, L=1)
+        va, vb, ds = vecs
+        _, rr = self._pc_rr(va, vb, ds, K=1, L=1)
         assert 0.3 < rr < 0.7
 
 
@@ -178,15 +237,12 @@ class TestMultiProbe:
         d = glove840(48)
         va = avg_tuple_matrix(ds.table_a, ds.attributes, d)
         vb = avg_tuple_matrix(ds.table_b, ds.attributes, d)
-        row_a = {t: i for i, t in enumerate(ds.table_a["id"])}
-        row_b = {t: i for i, t in enumerate(ds.table_b["id"])}
-        matches = {(row_a[a], row_b[b]) for a, b in ds.matches}
         planes = random_hyperplanes(va.shape[1], K=10, L=1, seed=2)
         recalls = []
         for p in (0, 1, 2):
             cand = multiprobe_topn_candidates(va, vb, planes, n_probes=p,
                                               top_n=10)
-            recalls.append(pair_completeness(cand, matches))
+            recalls.append(pair_completeness(ds.id_pairs(cand), ds.matches))
         assert recalls[0] <= recalls[1] <= recalls[2]
         assert recalls[2] > recalls[0]  # probing strictly helps overall
 
@@ -206,10 +262,8 @@ class TestMultiProbe:
         planes = random_hyperplanes(16, K=1, L=1, seed=0)  # huge buckets
         cand = multiprobe_topn_candidates(va, vb, planes, n_probes=0,
                                           top_n=5)
-        per_a: dict[int, int] = {}
-        for i, _ in cand:
-            per_a[i] = per_a.get(i, 0) + 1
-        assert max(per_a.values()) <= 5
+        _assert_pair_contract(cand, len(vb))
+        assert np.bincount(cand[:, 0]).max() <= 5
 
 
 def _ref_multiprobe_topn(mat_a, mat_b, planes, *, n_probes=1, top_n=10):
@@ -258,8 +312,9 @@ class TestTopNEqualsReference:
         planes = random_hyperplanes(va.shape[1], K, L, seed=2)
         got = multiprobe_topn_candidates(va, vb, planes, n_probes=n_probes,
                                          top_n=top_n)
-        assert got == _ref_multiprobe_topn(va, vb, planes,
-                                           n_probes=n_probes, top_n=top_n)
+        _assert_pair_contract(got, len(vb))
+        np.testing.assert_array_equal(got, _sorted_pairs(_ref_multiprobe_topn(
+            va, vb, planes, n_probes=n_probes, top_n=top_n)))
         assert not topk_fallbacks
 
     @pytest.mark.parametrize("top_n", [1, 2, 3, 5, 10_000])
@@ -274,8 +329,9 @@ class TestTopNEqualsReference:
         planes = random_hyperplanes(16, K=3, L=2, seed=1)
         got = multiprobe_topn_candidates(va, vb, planes, n_probes=1,
                                          top_n=top_n)
-        assert got == _ref_multiprobe_topn(va, vb, planes, n_probes=1,
-                                           top_n=top_n)
+        _assert_pair_contract(got, len(vb))
+        np.testing.assert_array_equal(got, _sorted_pairs(_ref_multiprobe_topn(
+            va, vb, planes, n_probes=1, top_n=top_n)))
         assert topk_fallbacks
 
     @pytest.mark.parametrize("n_a,n_b", [(0, 20), (20, 0), (0, 0)])
@@ -283,7 +339,9 @@ class TestTopNEqualsReference:
         rng = np.random.default_rng(3)
         va, vb = _unit_rows(rng, n_a, 16), _unit_rows(rng, n_b, 16)
         planes = random_hyperplanes(16, K=4, L=2, seed=0)
-        assert multiprobe_topn_candidates(va, vb, planes, top_n=5) == set()
+        got = multiprobe_topn_candidates(va, vb, planes, top_n=5)
+        _assert_pair_contract(got, n_b)
+        assert got.shape == (0, 2)
         assert _ref_multiprobe_topn(va, vb, planes, top_n=5) == set()
 
 

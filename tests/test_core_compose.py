@@ -10,12 +10,7 @@ from repro.core.compose import (
     collect_vectors,
     encode_attr_tokens,
 )
-from repro.core.similarity import (
-    abs_diff,
-    hadamard,
-    per_attribute_cosine,
-    tuple_cosine,
-)
+from repro.core.similarity import per_attribute_cosine, tuple_cosine
 from repro.embeddings import (
     glove840,
     glove_wiki,
@@ -147,12 +142,6 @@ class TestAvgMatrix:
 
 
 class TestSimilarityOps:
-    def test_abs_diff_and_hadamard(self):
-        a = np.array([[1.0, -2.0]])
-        b = np.array([[0.5, 1.0]])
-        np.testing.assert_allclose(abs_diff(a, b), [[0.5, 3.0]])
-        np.testing.assert_allclose(hadamard(a, b), [[0.5, -2.0]])
-
     def test_per_attribute_cosine_blockwise(self):
         # two attributes of 2 dims each: first identical, second opposite
         va = np.array([[1.0, 0.0, 0.0, 1.0]])

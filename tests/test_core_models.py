@@ -62,12 +62,6 @@ class TestEndToEndAvg:
         p = (model.predict_proba(ia, ma, ib, mb) >= 0.5).astype(float)
         assert f1_score(y, p)[0] > 0.9
 
-    def test_static_mode_freezes_embeddings(self):
-        E, ia, ma, ib, mb, y = _toy_pair_tensors()
-        model = AvgDeepEREndToEnd(2, E, epochs=5, update_embeddings=False)
-        model.fit(ia, ma, ib, mb, y)
-        np.testing.assert_allclose(model.emb.params["E"], E)
-
 
 class TestLSTMDeepER:
     @pytest.mark.parametrize("bidir", [False, True])

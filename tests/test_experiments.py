@@ -56,6 +56,14 @@ class TestBlockingSweeps:
         assert all(0.0 <= r["pc"] <= 1.0 for r in rows)
         assert all(0.0 <= r["rr"] <= 1.0 for r in rows)
 
+    def test_sweep_table_equals_committed_result(self):
+        """The Figure-10 table, rebuilt in memory, is byte-identical to
+        ``results/blocking_sweep.md`` (``benchmarks/bench_blocking.py``)."""
+        text = format_table(blocking_sweep_rows(),
+                            "Blocking sweep — PC/RR vs K and L")
+        committed = Path(__file__).resolve().parents[1] / "results"
+        assert text == (committed / "blocking_sweep.md").read_text()
+
     def test_multiprobe_rows_cover_grid(self):
         rows = multiprobe_rows(scale=0.15)
         assert len(rows) == 4 * 3

@@ -218,8 +218,7 @@ def test_end_to_end_with_embedding_updates_equals_reference():
     data = _token_data(np.random.default_rng(4))
     emb = np.random.default_rng(5).normal(size=(20, 5))
     ref, new = _fit_both(
-        lambda: AvgDeepEREndToEnd(2, emb, hidden=6, epochs=2, batch=8,
-                                  update_embeddings=True),
+        lambda: AvgDeepEREndToEnd(2, emb, hidden=6, epochs=2, batch=8),
         lambda mdl: mdl.fit(*data))
     _assert_same_params(ref, new)
     assert not np.array_equal(new.emb.params["E"], emb)  # embeddings moved

@@ -41,8 +41,7 @@ def setup(spark):
     model = AvgDeepER(m, epochs=5, seed=0).fit(X, y)
 
     planes = random_hyperplanes(m * D, K=4, L=2, seed=3)
-    ij = np.asarray(sorted(candidate_pairs_np(lsh_codes_np(va, planes),
-                                              lsh_codes_np(vb, planes))))
+    ij = candidate_pairs_np(lsh_codes_np(va, planes), lsh_codes_np(vb, planes))
     prob = model.predict_proba(
         per_attribute_cosine(va[ij[:, 0]], vb[ij[:, 1]], m, D))
     want = pd.Series(prob, index=pd.MultiIndex.from_arrays(
