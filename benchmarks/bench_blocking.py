@@ -12,8 +12,8 @@ from repro.core.compose import avg_tuple_vectors_spark
 from repro.er_data import load, to_spark
 from repro.experiments import (
     blocking_sweep_rows,
-    format_table,
     multiprobe_rows,
+    render,
     write_result,
 )
 
@@ -52,7 +52,7 @@ def test_spark_lsh_blocking(benchmark, spark):
 
 def test_blocking_kl_sweep(benchmark):
     rows = benchmark.pedantic(blocking_sweep_rows, rounds=1, iterations=1)
-    text = format_table(rows, "Blocking sweep — PC/RR vs K and L")
+    text = render("blocking_sweep", rows)
     print("\n" + text)
     write_result("blocking_sweep", text)
     by = {(r["dataset"], r["sweep"], r["value"]): r for r in rows}
@@ -67,8 +67,7 @@ def test_blocking_kl_sweep(benchmark):
 
 def test_multiprobe_sweep(benchmark):
     rows = benchmark.pedantic(multiprobe_rows, rounds=1, iterations=1)
-    text = format_table(rows, "Multi-probe LSH recall and candidates kept "
-                              "(K=10, L=1)")
+    text = render("multiprobe", rows)
     print("\n" + text)
     write_result("multiprobe", text)
     # Figure 12 shape: more probes -> higher recall at fixed top-N

@@ -1,14 +1,14 @@
 """Benchmark + artifact for Table 4 (DeepER vs Magellan, all datasets).
 
 Tuple-DR computation runs through the distributed Spark path."""
-from repro.experiments import format_table, table4_rows, write_result
+from repro.experiments import render, table4_rows, write_result
 
 
 def test_table4(benchmark, spark):
     rows = benchmark.pedantic(table4_rows,
                               kwargs={"scale": 1.0, "spark": spark},
                               rounds=1, iterations=1)
-    text = format_table(rows, "Table 4 — DeepER vs Magellan (F1 %)")
+    text = render("table4", rows)
     print("\n" + text)
     write_result("table4", text)
     # shape assertions: the paper's headline orderings

@@ -1,11 +1,10 @@
 """Benchmark + artifact for Table 5 (embedding dictionary impact)."""
-from repro.experiments import format_table, table5_rows, write_result
+from repro.experiments import render, table5_rows, write_result
 
 
 def test_table5(benchmark):
     rows = benchmark.pedantic(table5_rows, rounds=1, iterations=1)
-    text = format_table(rows,
-                        "Table 5 — Impact of embedding dictionary (F1 %)")
+    text = render("table5", rows)
     print("\n" + text)
     write_result("table5", text)
     # shape: the small dictionary is strictly worse on every dataset where

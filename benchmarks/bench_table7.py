@@ -1,10 +1,10 @@
 """Benchmark + artifact for Table 7 (multilingual ER)."""
-from repro.experiments import format_table, table7_rows, write_result
+from repro.experiments import render, table7_rows, write_result
 
 
 def test_table7(benchmark):
     rows = benchmark.pedantic(table7_rows, rounds=1, iterations=1)
-    text = format_table(rows, "Table 7 — Multilingual ER (F1 %)")
+    text = render("table7", rows)
     print("\n" + text)
     write_result("table7", text)
     # shape: Spanish close to but not above English + noise margin

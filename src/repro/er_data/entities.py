@@ -52,12 +52,6 @@ def citations(rng: np.random.Generator, n: int) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-PRODUCT_EXTRA_ATTRS = [
-    "brand", "model", "category", "color", "weight", "dimensions",
-    "material", "voltage", "capacity", "warranty", "origin", "sku", "upc",
-]
-
-
 def products(rng: np.random.Generator, n: int, *, n_attrs: int = 5) -> pd.DataFrame:
     """Product records. ``n_attrs=5`` mirrors Amazon-Google (title,
     description, manufacturer, price, category); ``n_attrs=17`` mirrors

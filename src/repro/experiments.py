@@ -2,8 +2,9 @@
 
 Each ``tableN_rows`` returns rows carrying both the paper's published
 number and our measured number, so the printed table is a direct diff.
-``jobs/`` wraps these as spark-submit entrypoints; ``benchmarks/`` wraps
-them under pytest-benchmark and writes ``results/tableN.md``.
+``TABLES`` declares each ``results/<name>.md`` artifact once, with its rows
+function and title; ``jobs/tables.py`` runs any of them under spark-submit
+and ``benchmarks/`` runs them under pytest-benchmark and writes the files.
 
 Protocol (see DESIGN.md §5 for the scale-down rationale): AVG composition,
 glove840-like dictionary, d=64, 3-fold stratified CV, 1:20 negatives,
@@ -230,6 +231,20 @@ def multiprobe_rows(scale: float = 0.5, d: int = 64) -> list[dict]:
     return rows
 
 
+TABLES = {  # results/<name>.md -> (rows function, title)
+    "table3": (table3_rows, "Table 3 — Data statistics (paper vs ours)"),
+    "table4": (table4_rows, "Table 4 — DeepER vs Magellan (F1 %)"),
+    "table5": (table5_rows, "Table 5 — Impact of embedding dictionary (F1 %)"),
+    "table6": (table6_rows, "Table 6 — Impact of embedding model (F1 %)"),
+    "table7": (table7_rows, "Table 7 — Multilingual ER (F1 %)"),
+    "bio": (bio_rows, "Nucleotide dedup — DeepER vs hand-crafted ML (F1 %)"),
+    "blocking_sweep": (blocking_sweep_rows,
+                       "Blocking sweep — PC/RR vs K and L"),
+    "multiprobe": (multiprobe_rows,
+                   "Multi-probe LSH recall and candidates kept (K=10, L=1)"),
+}
+
+
 # ------------------------------------------------------------- formatting --
 
 def format_table(rows: list[dict], title: str) -> str:
@@ -243,6 +258,11 @@ def format_table(rows: list[dict], title: str) -> str:
     body = "\n".join(" | ".join(str(r[c]).ljust(widths[c]) for c in cols)
                      for r in rows)
     return f"## {title}\n{head}\n{sep}\n{body}\n"
+
+
+def render(name: str, rows: list[dict]) -> str:
+    """``rows`` as the ``results/<name>.md`` table, under its title."""
+    return format_table(rows, TABLES[name][1])
 
 
 def write_result(name: str, text: str) -> Path:

@@ -13,8 +13,8 @@ optimizer's buffers, so the module must update them in place and never
 rebind them.
 """
 from repro.nn.adam import Adam, TrainLoop
-from repro.nn.layers import Dense, bce_loss, sigmoid, tanh
+from repro.nn.layers import Dense, bce_loss, sigmoid
 from repro.nn.lstm import LSTM, BiLSTM
 
 __all__ = ["Adam", "Dense", "LSTM", "BiLSTM", "TrainLoop", "bce_loss",
-           "sigmoid", "tanh"]
+           "sigmoid"]

@@ -23,15 +23,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / d, e / d).astype(np.float64, copy=False)
 
 
-def tanh(x: np.ndarray) -> np.ndarray:
-    """Hyperbolic tangent (thin wrapper for symmetry with ``sigmoid``)."""
-    return np.tanh(x)
-
-
 class Dense:
     """Affine layer ``y = x @ W + b`` with optional activation.
 
-    ``activation`` is one of ``None``, ``"sigmoid"``, ``"tanh"``, ``"relu"``.
+    ``activation`` is one of ``None``, ``"sigmoid"``, ``"tanh"``.
     """
 
     def __init__(self, d_in: int, d_out: int, *, activation: str | None = None,
@@ -52,23 +47,19 @@ class Dense:
             a = sigmoid(z)
         elif self.activation == "tanh":
             a = np.tanh(z)
-        elif self.activation == "relu":
-            a = np.maximum(z, 0.0)
         elif self.activation is None:
             a = z
         else:  # pragma: no cover - guarded by constructor usage
             raise ValueError(f"unknown activation {self.activation!r}")
-        self._cache = (x, z, a)
+        self._cache = (x, a)
         return a
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        x, z, a = self._cache
+        x, a = self._cache
         if self.activation == "sigmoid":
             dz = dout * a * (1.0 - a)
         elif self.activation == "tanh":
             dz = dout * (1.0 - a * a)
-        elif self.activation == "relu":
-            dz = dout * (z > 0)
         else:
             dz = dout
         self.grads["W"] += x.T @ dz
@@ -78,6 +69,11 @@ class Dense:
     def zero_grad(self) -> None:
         for g in self.grads.values():
             g[...] = 0.0
+
+    def __getstate__(self) -> dict:
+        # A pickled layer (e.g. a model broadcast to Spark tasks) carries
+        # its parameters, not the last forward pass's batch-sized cache.
+        return {**self.__dict__, "_cache": None}
 
 
 def bce_grad(p: np.ndarray, y: np.ndarray, eps: float = 1e-9) -> np.ndarray:

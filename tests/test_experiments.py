@@ -1,4 +1,8 @@
-"""Tests for the table harnesses and formatting utilities."""
+"""Tests for the table harnesses, the table registry and its job, and
+the formatting utilities."""
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,15 +15,18 @@ from repro.experiments import (
     PAPER_T6,
     PAPER_T7,
     T4_ORDER,
+    TABLES,
     blocking_sweep_rows,
     format_table,
     multiprobe_rows,
+    render,
     table3_rows,
     table4_rows,
     write_result,
 )
 
 FAST = DeepERConfig(folds=2, neg_ratio=4, d=32, epochs=8)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestPaperConstants:
@@ -59,10 +66,8 @@ class TestBlockingSweeps:
     def test_sweep_table_equals_committed_result(self):
         """The Figure-10 table, rebuilt in memory, is byte-identical to
         ``results/blocking_sweep.md`` (``benchmarks/bench_blocking.py``)."""
-        text = format_table(blocking_sweep_rows(),
-                            "Blocking sweep — PC/RR vs K and L")
-        committed = Path(__file__).resolve().parents[1] / "results"
-        assert text == (committed / "blocking_sweep.md").read_text()
+        text = render("blocking_sweep", blocking_sweep_rows())
+        assert text == (ROOT / "results" / "blocking_sweep.md").read_text()
 
     def test_multiprobe_rows_cover_grid(self):
         rows = multiprobe_rows(scale=0.15)
@@ -71,10 +76,8 @@ class TestBlockingSweeps:
     def test_multiprobe_table_equals_committed_result(self):
         """The Figure-12 table, rebuilt in memory, is byte-identical to
         ``results/multiprobe.md`` (``benchmarks/bench_blocking.py``)."""
-        text = format_table(multiprobe_rows(), "Multi-probe LSH recall and "
-                                               "candidates kept (K=10, L=1)")
-        committed = Path(__file__).resolve().parents[1] / "results"
-        assert text == (committed / "multiprobe.md").read_text()
+        text = render("multiprobe", multiprobe_rows())
+        assert text == (ROOT / "results" / "multiprobe.md").read_text()
 
 
 class TestTable4:
@@ -82,9 +85,8 @@ class TestTable4:
         """Table 4, rebuilt in memory on the driver path, is byte-identical
         to ``results/table4.md`` (``benchmarks/bench_table4.py`` writes it
         through the Spark DR path)."""
-        text = format_table(table4_rows(), "Table 4 — DeepER vs Magellan (F1 %)")
-        committed = Path(__file__).resolve().parents[1] / "results"
-        assert text == (committed / "table4.md").read_text()
+        text = render("table4", table4_rows())
+        assert text == (ROOT / "results" / "table4.md").read_text()
 
 
 class TestFormatting:
@@ -106,10 +108,18 @@ class TestFormatting:
         p.unlink()
 
 
-class TestJobsImportAndRun:
-    def test_table3_job_main(self):
-        import sys
-        sys.path.insert(0, "jobs")
-        import table3_stats
-        out = table3_stats.main()
-        assert "Table 3" in out and "rest_fz" in out
+class TestTables:
+    @pytest.mark.parametrize("name", list(TABLES))
+    def test_committed_result_has_registered_title(self, name):
+        text = (ROOT / "results" / f"{name}.md").read_text()
+        assert text.splitlines()[0] == f"## {TABLES[name][1]}"
+
+    def test_job_prints_committed_table3(self):
+        """``jobs/tables.py table3`` prints ``results/table3.md`` byte for
+        byte (Table 3 builds no SparkSession)."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, str(ROOT / "jobs" / "tables.py"), "table3"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert out == (ROOT / "results" / "table3.md").read_text()

@@ -14,7 +14,7 @@ from repro.blocking import (
 from repro.core.compose import avg_tuple_matrix, avg_tuple_vectors_spark
 from repro.core.model import AvgDeepER
 from repro.core.pairs import sample_pairs
-from repro.core.scoring import export_head, score_candidates_spark
+from repro.core.scoring import score_candidates_spark
 from repro.core.similarity import per_attribute_cosine
 from repro.embeddings import glove840
 from repro.er_data import load, to_spark
@@ -51,18 +51,18 @@ def pipeline(spark):
                             add_lsh_codes(svb, planes))
     scored = score_candidates_spark(cands, sva, svb, model, m, d.d)
     rows = scored.collect()
-    return ds, model, X, y, cands, rows
+    return ds, model, cands, rows
 
 
 class TestFullPipeline:
     def test_blocking_metrics(self, pipeline):
-        ds, _, _, _, cands, _ = pipeline
+        ds, _, cands, _ = pipeline
         cset = {(r["id_a"], r["id_b"]) for r in cands.collect()}
         assert pair_completeness(cset, ds.matches) > 0.9
         assert reduction_ratio(len(cset), ds.n_a, ds.n_b) < 0.5
 
     def test_end_to_end_precision_recall(self, pipeline):
-        ds, _, _, _, _, rows = pipeline
+        ds, _, _, rows = pipeline
         predicted = {(r["id_a"], r["id_b"]) for r in rows
                      if r["prob"] >= 0.5}
         prec, rec = end_to_end_pr(predicted, ds.matches)
@@ -71,7 +71,7 @@ class TestFullPipeline:
 
     def test_spark_scores_match_driver_model(self, pipeline):
         """Distributed scoring must equal driver-side head application."""
-        ds, model, _, _, _, rows = pipeline
+        ds, model, _, rows = pipeline
         d = glove840(48)
         m = len(ds.attributes)
         va = avg_tuple_matrix(ds.table_a, ds.attributes, d)
@@ -84,12 +84,6 @@ class TestFullPipeline:
         want = model.predict_proba(X)
         got = np.array([r["prob"] for r in rows])
         np.testing.assert_allclose(got, want, atol=1e-9)
-
-    def test_export_head_roundtrip(self, pipeline):
-        _, model, X, y, _, _ = pipeline
-        from repro.core.scoring import _head_forward
-        np.testing.assert_allclose(_head_forward(export_head(model), X),
-                                   model.predict_proba(X), atol=1e-12)
 
 
 class TestTranslateAndBio:

@@ -1,5 +1,8 @@
 """Distributed scoring (the classifier half of Algorithm 4) against the
-driver: every candidate, any partitioning, missing vectors, no candidates."""
+driver: every candidate, any partitioning, missing vectors, no candidates,
+and the broadcast model itself."""
+import pickle
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -14,7 +17,7 @@ from repro.blocking import (
 from repro.core.compose import avg_tuple_matrix, avg_tuple_vectors_spark
 from repro.core.model import AvgDeepER
 from repro.core.pairs import sample_pairs
-from repro.core.scoring import _head_forward, export_head, score_candidates_spark
+from repro.core.scoring import score_candidates_spark
 from repro.core.similarity import per_attribute_cosine
 from repro.embeddings import glove840
 from repro.er_data import load, to_spark
@@ -96,18 +99,14 @@ def test_no_candidates_give_empty_frame(spark, setup):
     assert len(got) == 0
 
 
-def test_head_forward_equals_predict_proba():
-    """The broadcast head gives the driver model's probabilities exactly,
-    without overflow, also where ``|z|`` is far beyond ``exp``'s range."""
+def test_pickled_model_predicts_exactly_without_forward_cache():
+    """Scoring broadcasts the trained model: its pickle predicts as the
+    driver's model does, and leaves out the last forward pass's cache,
+    which after driver scoring holds a whole block of pairs."""
     rng = np.random.default_rng(0)
-    X = rng.random((300, 5))
-    model = AvgDeepER(5, epochs=2, seed=0).fit(X, (X.sum(axis=1) > 2.5) * 1.0)
-    model.clf.params["W"] *= 1e4  # in place: the optimizer owns the array
-    X = np.vstack([X, -X, rng.normal(0, 10, (300, 5))])
-    w = export_head(model)
-    z = np.tanh(X @ w["W1"] + w["b1"]) @ w["W2"] + w["b2"]
-    assert (z < -745).any() and (z > 745).any()
-    with np.errstate(over="raise"):
-        got = _head_forward(w, X)
-        want = model.predict_proba(X)
-    assert np.array_equal(got, want)
+    X = rng.normal(0, 10, (8192, 5))
+    model = AvgDeepER(5, epochs=2, seed=0).fit(X[:300], (X[:300, 0] > 0) * 1.0)
+    want = model.predict_proba(X)
+    got = pickle.loads(pickle.dumps(model))
+    assert got.dense._cache is None and got.clf._cache is None
+    assert np.array_equal(got.predict_proba(X), want)
