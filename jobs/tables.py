@@ -1,18 +1,20 @@
-"""Print the paper's evaluation tables (the ``results/<name>.md`` artifacts
-declared in ``repro.experiments.TABLES``).
+"""Build the paper's evaluation artifacts ``results/<name>.md``, declared in
+``repro.experiments.TABLES``: every artifact when no name is given.
 
-    spark-submit jobs/tables.py <name> [<name> ...]
+    spark-submit jobs/tables.py [<name> ...]
 
-A rows function that takes ``spark`` (Table 4) computes its tuple DRs as a
-distributed mapInPandas dataflow on this job's session.
+Per artifact, in order: compute its rows, run its shape check, and only
+then write ``results/<name>.md`` and print it. A failing check raises
+``AssertionError`` and leaves that artifact's file as it was. A rows
+function that takes ``spark`` (Table 4, Spark blocking) runs its tuple DRs
+as a distributed mapInPandas dataflow on this job's session.
 """
 import argparse
 import inspect
-import sys
 
 from pyspark.sql import SparkSession
 
-from repro.experiments import TABLES, render
+from repro.experiments import TABLES, render, write_result
 
 
 def get_spark() -> SparkSession:
@@ -26,18 +28,24 @@ def get_spark() -> SparkSession:
     )
 
 
-def main(argv=None) -> str:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser()
-    parser.add_argument("names", nargs="+", choices=list(TABLES),
-                        metavar="name")
-    tables = []
-    for name in parser.parse_args(argv).names:
-        rows_fn = TABLES[name][0]
+    # no ``choices``: argparse rejects an empty ``nargs="*"`` list against them
+    parser.add_argument("names", nargs="*", metavar="name",
+                        help=f"any of {', '.join(TABLES)} (default: all)")
+    names = parser.parse_args(argv).names or list(TABLES)
+    if unknown := [n for n in names if n not in TABLES]:
+        parser.error(f"unknown table(s): {', '.join(unknown)}")
+    for i, name in enumerate(names):
+        rows_fn, _, check = TABLES[name]
         kwargs = ({"spark": get_spark()}
                   if "spark" in inspect.signature(rows_fn).parameters else {})
-        tables.append(render(name, rows_fn(**kwargs)))
-    return "\n".join(tables)
+        rows = rows_fn(**kwargs)
+        check(rows)
+        text = render(name, rows)
+        write_result(name, text)
+        print(("\n" if i else "") + text, end="", flush=True)
 
 
 if __name__ == "__main__":
-    sys.stdout.write(main())
+    main()

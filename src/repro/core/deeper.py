@@ -34,7 +34,11 @@ from repro.er_data.datasets import ERDataset, tuple_token_lists, vocabulary
 
 @dataclass(frozen=True)
 class DeepERConfig:
-    """Paper defaults (§5.1), with sizes scaled per DESIGN.md §5."""
+    """Paper defaults (§5.1), with sizes scaled per DESIGN.md §5.
+
+    Raises ``ValueError`` for a composition with no model, and for
+    ``update_embeddings`` with an LSTM composition (only the AVG model
+    trains its embeddings)."""
 
     composition: str = "avg"        # avg | lstm | bilstm
     dictionary: str = "glove840"
@@ -50,6 +54,14 @@ class DeepERConfig:
     folds: int = 3                  # paper: 5
     seed: int = 0
     max_tokens: int = 18
+
+    def __post_init__(self):
+        if self.composition not in ("avg", "lstm", "bilstm"):
+            raise ValueError(f"unknown composition {self.composition!r}")
+        if self.update_embeddings and self.composition != "avg":
+            raise ValueError("update_embeddings=True needs composition='avg'; "
+                             f"the {self.composition} model keeps its "
+                             "embeddings static")
 
 
 def _prepare(ds: ERDataset, cfg: DeepERConfig, spark=None):
@@ -86,6 +98,9 @@ def _prepare(ds: ERDataset, cfg: DeepERConfig, spark=None):
         ds, vec_a, vec_b, ids_a, ids_b,
         neg_ratio=cfg.neg_ratio, seed=cfg.seed,
     )
+    if not pairs:
+        raise ValueError(f"dataset {ds.name!r} has no labeled pairs: "
+                         "its match set is empty")
     return dictionary, extra, ids_a, ids_b, vec_a, vec_b, pairs, y, threshold
 
 
@@ -186,15 +201,13 @@ def evaluate_deeper(ds: ERDataset, cfg: DeepERConfig = DeepERConfig(),
             return AvgDeepEREndToEnd(m, emb, hidden=cfg.hidden, lr=cfg.lr,
                                      epochs=cfg.epochs, batch=cfg.batch,
                                      seed=cfg.seed + fold)
-    elif cfg.composition in ("lstm", "bilstm"):
+    else:  # lstm | bilstm
         def factory(fold):
             return LSTMDeepER(m, emb,
                               bidirectional=cfg.composition == "bilstm",
                               lstm_dim=cfg.lstm_dim, hidden=cfg.hidden,
                               lr=cfg.lr, epochs=cfg.epochs, batch=cfg.batch,
                               seed=cfg.seed + fold)
-    else:
-        raise ValueError(f"unknown composition {cfg.composition!r}")
 
     def fit_predict(model, tr, te):
         model.fit(pa[tr], pmska[tr], pb[tr], pmskb[tr], y[tr])

@@ -95,8 +95,8 @@ def kfold_indices(n: int, folds: int, seed: int = 0,
     out = []
     all_idx = set(range(n))
     for f in range(folds):
-        test = np.asarray(sorted(splits[f]))
-        train = np.asarray(sorted(all_idx - set(splits[f])))
+        test = np.asarray(sorted(splits[f]), dtype=np.intp)
+        train = np.asarray(sorted(all_idx - set(splits[f])), dtype=np.intp)
         out.append((train, test))
     return out
 

@@ -3,12 +3,14 @@
 Each ``tableN_rows`` returns rows carrying both the paper's published
 number and our measured number, so the printed table is a direct diff.
 ``TABLES`` declares each ``results/<name>.md`` artifact once, with its rows
-function and title; ``jobs/tables.py`` runs any of them under spark-submit
-and ``benchmarks/`` runs them under pytest-benchmark and writes the files.
+function, title and shape check: the paper's headline orderings, with
+bounds loosened for our scale-down. ``jobs/tables.py`` is the one
+producer: it computes an artifact's rows, checks them, and only then
+writes the file.
 
 Protocol (see DESIGN.md §5 for the scale-down rationale): AVG composition,
 glove840-like dictionary, d=64, 3-fold stratified CV, 1:20 negatives,
-seed 0. Tables 5–7 run at scale 0.5 to keep the bench under a few minutes.
+seed 0. Tables 5–7 run at scale 0.5 to keep each under two minutes.
 """
 from __future__ import annotations
 
@@ -18,6 +20,8 @@ from pathlib import Path
 from pyspark.sql import SparkSession
 
 from repro.blocking import (
+    add_lsh_codes,
+    candidate_pairs,
     candidate_pairs_np,
     lsh_codes_np,
     multiprobe_topn_candidates,
@@ -26,9 +30,9 @@ from repro.blocking import (
     reduction_ratio,
 )
 from repro.core import DeepERConfig, evaluate_deeper, evaluate_magellan
-from repro.core.compose import avg_tuple_matrix
+from repro.core.compose import avg_tuple_matrix, avg_tuple_vectors_spark
 from repro.embeddings import glove840
-from repro.er_data import DATASET_KEYS, SPECS, load
+from repro.er_data import DATASET_KEYS, SPECS, load, to_spark
 from repro.er_data.bio import load_bio
 from repro.er_data.translate import translate_dataset
 
@@ -168,7 +172,8 @@ def bio_rows(cfg: DeepERConfig = BASE_CFG) -> list[dict]:
     """§5.2 'other domains': nucleotide dedup — DeepER (bio dictionary)
     vs the hand-crafted-feature ML baseline."""
     ds = load_bio()
-    d = evaluate_deeper(ds, replace(cfg, dictionary="bio"))
+    cfg = replace(cfg, dictionary="bio")  # one pair set for both systems
+    d = evaluate_deeper(ds, cfg)
     m = evaluate_magellan(ds, cfg)
     return [{
         "benchmark": "nucleotide (21-organism analog)",
@@ -231,17 +236,132 @@ def multiprobe_rows(scale: float = 0.5, d: int = 64) -> list[dict]:
     return rows
 
 
-TABLES = {  # results/<name>.md -> (rows function, title)
-    "table3": (table3_rows, "Table 3 — Data statistics (paper vs ours)"),
-    "table4": (table4_rows, "Table 4 — DeepER vs Magellan (F1 %)"),
-    "table5": (table5_rows, "Table 5 — Impact of embedding dictionary (F1 %)"),
-    "table6": (table6_rows, "Table 6 — Impact of embedding model (F1 %)"),
-    "table7": (table7_rows, "Table 7 — Multilingual ER (F1 %)"),
-    "bio": (bio_rows, "Nucleotide dedup — DeepER vs hand-crafted ML (F1 %)"),
+def blocking_spark_rows(spark: SparkSession, scale: float = 1.0,
+                        d: int = 64) -> list[dict]:
+    """End-to-end distributed LSH blocking on Prod-AG: Spark tuple DRs,
+    mapInPandas hash codes, then the equi-join similarity join.
+
+    K=5, L=6 calibrated for our scaled DRs (matched-pair cosine ~0.75 →
+    per-bit collision ~0.77 → PC ~ 1-(1-0.77^5)^6 ~ 0.85). The paper's
+    §4.5 example (K=12, L=2 from Equation 1 with P1=0.95) assumes a far
+    higher per-bit collision than d=64 synthetic embeddings deliver."""
+    ds = load("prod_ag", scale=scale)
+    df_a, df_b = to_spark(spark, ds)
+    va = avg_tuple_vectors_spark(df_a, ds.attributes, "glove840", d)
+    vb = avg_tuple_vectors_spark(df_b, ds.attributes, "glove840", d)
+    planes = random_hyperplanes(len(ds.attributes) * d, K=5, L=6, seed=0)
+    cands = {(r["id_a"], r["id_b"])
+             for r in candidate_pairs(add_lsh_codes(va, planes),
+                                      add_lsh_codes(vb, planes)).collect()}
+    return [{
+        "pair_completeness": f"{pair_completeness(cands, ds.matches):.3f}",
+        "reduction_ratio":
+            f"{reduction_ratio(len(cands), ds.n_a, ds.n_b):.4f}",
+        "candidates": len(cands), "pairs": ds.n_a * ds.n_b,
+    }]
+
+
+# ----------------------------------------------------------- shape checks --
+# Each check raises ``AssertionError`` naming the first condition its rows
+# break; ``jobs/tables.py`` then writes no file.
+
+def _require(ok: bool, condition: str) -> None:
+    if not ok:  # not ``assert``: the checks must also run under ``python -O``
+        raise AssertionError(f"shape check failed: {condition}")
+
+
+def check_table3(rows: list[dict]) -> None:
+    _require(len(rows) == 6, f"6 datasets, got {len(rows)}")
+
+
+def check_table4(rows: list[dict]) -> None:
+    r = {row["dataset"]: row for row in rows}
+    _require(r["prod_ag"]["ours_deeper"] > r["prod_ag"]["ours_magellan"],
+             "prod_ag: DeepER > Magellan")
+    _require(r["rest_fz"]["ours_deeper"] >= 99.0, "rest_fz: DeepER >= 99")
+    for key in ("pub_da", "pub_ds", "pub_dc"):
+        _require(r[key]["ours_deeper"] > 95.0, f"{key}: DeepER > 95")
+
+
+def check_table5(rows: list[dict]) -> None:
+    # the small dictionary is strictly worse on every dataset where the
+    # paper reports a drop (everywhere except ties at the top)
+    drops = [row["ours_glove"] - row["ours_glove_wiki"] for row in rows]
+    _require(all(d >= -0.5 for d in drops), "every drop >= -0.5")
+    _require(max(drops) > 3.0, "at least one drop > 3")
+
+
+def check_table6(rows: list[dict]) -> None:
+    # only minor variation between model families (paper: < 2.8 max)
+    for row in rows:
+        vals = [row["ours_glove"], row["ours_word2vec"], row["ours_fasttext"]]
+        _require(max(vals) - min(vals) < 6.0, f"{row['dataset']}: spread < 6")
+
+
+def check_table7(rows: list[dict]) -> None:
+    # Spanish close to but not above English + noise margin
+    for row in rows:
+        es, key = row["ours_spanish"], row["dataset"]
+        _require(es <= row["ours_english"] + 1.0,
+                 f"{key}: Spanish <= English + 1")
+        _require(es > 80.0, f"{key}: Spanish > 80")
+
+
+def check_bio(rows: list[dict]) -> None:
+    _require(rows[0]["ours_deeper"] > rows[0]["ours_handcrafted_ml"] - 1.0,
+             "DeepER > hand-crafted ML - 1")
+
+
+def check_blocking_spark(rows: list[dict]) -> None:
+    _require(float(rows[0]["pair_completeness"]) > 0.7, "PC > 0.7")
+    _require(float(rows[0]["reduction_ratio"]) < 0.45, "RR < 0.45")
+
+
+def check_blocking_sweep(rows: list[dict]) -> None:
+    # Figure 10: PC and RR fall with K and rise with L
+    by = {(r["dataset"], r["sweep"], r["value"]): r for r in rows}
+    for ds in ("prod_ag", "pub_ds"):
+        k1, k10 = by[(ds, "K (L=10)", 1)], by[(ds, "K (L=10)", 10)]
+        l1, l10 = by[(ds, "L (K=4)", 1)], by[(ds, "L (K=4)", 10)]
+        _require(k1["pc"] >= k10["pc"], f"{ds}: PC at K=1 >= at K=10")
+        _require(k1["rr"] > k10["rr"], f"{ds}: RR at K=1 > at K=10")
+        _require(l10["pc"] >= l1["pc"], f"{ds}: PC at L=10 >= at L=1")
+        _require(l10["rr"] > l1["rr"], f"{ds}: RR at L=10 > at L=1")
+
+
+def check_multiprobe(rows: list[dict]) -> None:
+    # Figure 12: more probes -> higher recall at fixed top-N; top-N bounds
+    # classifier invocations: fewer kept pairs at smaller N
+    by = {(r["top_n"], r["probes"]): r for r in rows}
+    for n in (10, 20, 30, 50):
+        _require(by[(n, 2)]["recall"] >= by[(n, 0)]["recall"],
+                 f"N={n}: recall at 2 probes >= at 0")
+    for p in (0, 1, 2):
+        _require(by[(10, p)]["candidates"] <= by[(50, p)]["candidates"],
+                 f"{p} probes: candidates at N=10 <= at N=50")
+
+
+TABLES = {  # results/<name>.md -> (rows function, title, shape check)
+    "table3": (table3_rows, "Table 3 — Data statistics (paper vs ours)",
+               check_table3),
+    "table4": (table4_rows, "Table 4 — DeepER vs Magellan (F1 %)",
+               check_table4),
+    "table5": (table5_rows, "Table 5 — Impact of embedding dictionary (F1 %)",
+               check_table5),
+    "table6": (table6_rows, "Table 6 — Impact of embedding model (F1 %)",
+               check_table6),
+    "table7": (table7_rows, "Table 7 — Multilingual ER (F1 %)", check_table7),
+    "bio": (bio_rows, "Nucleotide dedup — DeepER vs hand-crafted ML (F1 %)",
+            check_bio),
+    "blocking_spark": (blocking_spark_rows,
+                       "Spark LSH blocking, Prod-AG, K=5 L=6",
+                       check_blocking_spark),
     "blocking_sweep": (blocking_sweep_rows,
-                       "Blocking sweep — PC/RR vs K and L"),
+                       "Blocking sweep — PC/RR vs K and L",
+                       check_blocking_sweep),
     "multiprobe": (multiprobe_rows,
-                   "Multi-probe LSH recall and candidates kept (K=10, L=1)"),
+                   "Multi-probe LSH recall and candidates kept (K=10, L=1)",
+                   check_multiprobe),
 }
 
 
@@ -265,9 +385,11 @@ def render(name: str, rows: list[dict]) -> str:
     return format_table(rows, TABLES[name][1])
 
 
+RESULTS_DIR = Path(__file__).resolve().parents[2] / "results"
+
+
 def write_result(name: str, text: str) -> Path:
-    out = Path(__file__).resolve().parents[2] / "results"
-    out.mkdir(exist_ok=True)
-    path = out / f"{name}.md"
+    RESULTS_DIR.mkdir(exist_ok=True)
+    path = RESULTS_DIR / f"{name}.md"
     path.write_text(text)
     return path

@@ -91,6 +91,13 @@ class TestKFold:
         for _, te in kfold_indices(90, 3, seed=1, labels=y):
             assert np.sum(y[te]) == 3  # each fold gets its share of positives
 
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_empty_folds_hold_integer_indices(self, n):
+        folds = kfold_indices(n, 3, seed=0, labels=np.ones(n))
+        assert any(len(te) == 0 for _, te in folds)
+        for tr, te in folds:
+            assert tr.dtype == te.dtype == np.intp
+
 
 class TestPairSampling:
     @pytest.fixture(scope="class")
@@ -192,6 +199,17 @@ class TestPipelineEndToEnd:
         with pytest.raises(ValueError):
             evaluate_deeper(load("rest_fz", scale=0.1),
                             replace(SMALL, composition="transformer"))
+
+    @pytest.mark.parametrize("composition", ["lstm", "bilstm"])
+    def test_update_embeddings_needs_avg_composition(self, composition):
+        with pytest.raises(ValueError, match="update_embeddings"):
+            replace(SMALL, composition=composition, update_embeddings=True)
+
+    @pytest.mark.parametrize("evaluate", [evaluate_deeper, evaluate_magellan])
+    def test_empty_match_set_raises_naming_dataset(self, evaluate):
+        ds = replace(load("rest_fz", scale=0.2), matches=set())
+        with pytest.raises(ValueError, match="'rest_fz' has no labeled pairs"):
+            evaluate(ds, SMALL)
 
 
 # ------------------------------------------------------------ references -

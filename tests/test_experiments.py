@@ -1,13 +1,16 @@
-"""Tests for the table harnesses, the table registry and its job, and
-the formatting utilities."""
-import os
-import subprocess
-import sys
+"""Tests for the table harnesses, the table registry (rows function,
+title and shape check per ``results/<name>.md``), the one job that checks
+and writes the artifacts, and the formatting utilities. No test writes
+under ``results/``: a test that writes redirects
+``experiments.RESULTS_DIR``."""
+import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.core import DeepERConfig
+from repro import experiments
+from repro.core import DeepERConfig, deeper
 from repro.experiments import (
     PAPER_T3,
     PAPER_T4,
@@ -16,6 +19,8 @@ from repro.experiments import (
     PAPER_T7,
     T4_ORDER,
     TABLES,
+    bio_rows,
+    blocking_spark_rows,
     blocking_sweep_rows,
     format_table,
     multiprobe_rows,
@@ -27,6 +32,28 @@ from repro.experiments import (
 
 FAST = DeepERConfig(folds=2, neg_ratio=4, d=32, epochs=8)
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _committed(name: str) -> str:
+    return (ROOT / "results" / f"{name}.md").read_text()
+
+
+def _check(name: str, rows: list[dict]) -> None:
+    TABLES[name][2](rows)
+
+
+@pytest.fixture
+def results_dir(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "RESULTS_DIR", tmp_path / "results")
+    return tmp_path / "results"
+
+
+def _job():
+    spec = importlib.util.spec_from_file_location(
+        "tables_job", ROOT / "jobs" / "tables.py")
+    job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(job)
+    return job
 
 
 class TestPaperConstants:
@@ -64,29 +91,63 @@ class TestBlockingSweeps:
         assert all(0.0 <= r["rr"] <= 1.0 for r in rows)
 
     def test_sweep_table_equals_committed_result(self):
-        """The Figure-10 table, rebuilt in memory, is byte-identical to
-        ``results/blocking_sweep.md`` (``benchmarks/bench_blocking.py``)."""
-        text = render("blocking_sweep", blocking_sweep_rows())
-        assert text == (ROOT / "results" / "blocking_sweep.md").read_text()
+        """The Figure-10 table, rebuilt in memory, passes its shape check
+        and is byte-identical to ``results/blocking_sweep.md``."""
+        rows = blocking_sweep_rows()
+        _check("blocking_sweep", rows)
+        assert render("blocking_sweep", rows) == _committed("blocking_sweep")
 
     def test_multiprobe_rows_cover_grid(self):
         rows = multiprobe_rows(scale=0.15)
         assert len(rows) == 4 * 3
 
     def test_multiprobe_table_equals_committed_result(self):
-        """The Figure-12 table, rebuilt in memory, is byte-identical to
-        ``results/multiprobe.md`` (``benchmarks/bench_blocking.py``)."""
-        text = render("multiprobe", multiprobe_rows())
-        assert text == (ROOT / "results" / "multiprobe.md").read_text()
+        """The Figure-12 table, rebuilt in memory, passes its shape check
+        and is byte-identical to ``results/multiprobe.md``."""
+        rows = multiprobe_rows()
+        _check("multiprobe", rows)
+        assert render("multiprobe", rows) == _committed("multiprobe")
+
+    def test_spark_blocking_rows_small_scale(self, spark):
+        """The Spark blocking artifact's columns, and its registered title
+        against ``results/blocking_spark.md``."""
+        rows = blocking_spark_rows(spark, scale=0.2)
+        cols = ["pair_completeness", "reduction_ratio", "candidates",
+                "pairs"]
+        assert len(rows) == 1 and list(rows[0]) == cols
+        assert 0 < rows[0]["candidates"] <= rows[0]["pairs"]
+        committed = _committed("blocking_spark").splitlines()
+        assert render("blocking_spark", rows).splitlines()[0] == committed[0]
+        assert [c.strip() for c in committed[1].split("|")] == cols
 
 
 class TestTable4:
     def test_table4_equals_committed_result(self):
-        """Table 4, rebuilt in memory on the driver path, is byte-identical
-        to ``results/table4.md`` (``benchmarks/bench_table4.py`` writes it
-        through the Spark DR path)."""
-        text = render("table4", table4_rows())
-        assert text == (ROOT / "results" / "table4.md").read_text()
+        """Table 4, rebuilt in memory on the driver path, passes its shape
+        check and is byte-identical to ``results/table4.md`` (the job
+        writes it through the Spark DR path)."""
+        rows = table4_rows()
+        _check("table4", rows)
+        assert render("table4", rows) == _committed("table4")
+
+
+class TestBio:
+    def test_deeper_and_magellan_get_one_pair_set(self, monkeypatch):
+        """Both §5.2 systems are scored on the same labeled pairs, as
+        ``evaluate_magellan`` promises: one dictionary ranks the negatives
+        for both."""
+        sampled = []
+        sample = deeper.sample_pairs
+
+        def recording(*args, **kwargs):
+            sampled.append(sample(*args, **kwargs))
+            return sampled[-1]
+
+        monkeypatch.setattr(deeper, "sample_pairs", recording)
+        bio_rows()
+        (pairs_d, y_d, _), (pairs_m, y_m, _) = sampled
+        assert pairs_d == pairs_m
+        assert np.array_equal(y_d, y_m)
 
 
 class TestFormatting:
@@ -101,25 +162,34 @@ class TestFormatting:
     def test_format_empty(self):
         assert "(no rows)" in format_table([], "T")
 
-    def test_write_result_creates_file(self, tmp_path, monkeypatch):
+    def test_write_result_creates_file(self, results_dir):
         p = write_result("unit_test_artifact", "hello\n")
-        assert p.exists() and p.read_text() == "hello\n"
-        assert p.parent.name == "results"
-        p.unlink()
+        assert p == results_dir / "unit_test_artifact.md"
+        assert p.read_text() == "hello\n"
 
 
 class TestTables:
     @pytest.mark.parametrize("name", list(TABLES))
     def test_committed_result_has_registered_title(self, name):
-        text = (ROOT / "results" / f"{name}.md").read_text()
-        assert text.splitlines()[0] == f"## {TABLES[name][1]}"
+        assert _committed(name).splitlines()[0] == f"## {TABLES[name][1]}"
 
-    def test_job_prints_committed_table3(self):
-        """``jobs/tables.py table3`` prints ``results/table3.md`` byte for
-        byte (Table 3 builds no SparkSession)."""
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run(
-            [sys.executable, str(ROOT / "jobs" / "tables.py"), "table3"],
-            env=env, capture_output=True, text=True, check=True).stdout
-        assert out == (ROOT / "results" / "table3.md").read_text()
+    def test_job_prints_committed_table3(self, results_dir, capsys):
+        """``jobs/tables.py table3`` writes and prints ``results/table3.md``
+        byte for byte (Table 3 builds no SparkSession)."""
+        _job().main(["table3"])
+        assert (results_dir / "table3.md").read_text() == _committed("table3")
+        assert capsys.readouterr().out == _committed("table3")
+
+    def test_failing_check_raises_and_writes_nothing(self, results_dir,
+                                                     monkeypatch):
+        _, title, check = TABLES["table3"]
+        monkeypatch.setitem(TABLES, "table3",
+                            (lambda: [{"dataset": "prod_ag"}], title, check))
+        with pytest.raises(AssertionError, match="6 datasets, got 1"):
+            _job().main(["table3"])
+        assert not (results_dir / "table3.md").exists()
+
+    def test_job_rejects_unknown_name(self, results_dir):
+        with pytest.raises(SystemExit):
+            _job().main(["table3", "table99"])
+        assert not results_dir.exists()
