@@ -6,8 +6,8 @@
 Per artifact, in order: compute its rows, run its shape check, and only
 then write ``results/<name>.md`` and print it. A failing check raises
 ``AssertionError`` and leaves that artifact's file as it was. A rows
-function that takes ``spark`` (Table 4, Spark blocking) runs its tuple DRs
-as a distributed mapInPandas dataflow on this job's session.
+function that takes ``spark`` gets this job's session; only
+``blocking_spark`` does, and only it builds one.
 """
 import argparse
 import inspect

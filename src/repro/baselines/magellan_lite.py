@@ -16,34 +16,19 @@ from repro.baselines import simfns
 from repro.nn import Dense, TrainLoop
 
 
-def _rows(table: pd.DataFrame, ids: list[str]) -> np.ndarray:
-    """Row positions of ``ids`` in ``table``: ``ValueError`` if the table
-    repeats an id, ``KeyError`` for an id it does not hold."""
-    index = pd.Index(table["id"])
-    if not index.is_unique:
-        dup = index[index.duplicated()].unique().tolist()
-        raise ValueError(f"duplicate ids in table: {dup[:5]}")
-    rows = index.get_indexer(ids)
-    if (rows < 0).any():
-        raise KeyError(ids[int(np.argmax(rows < 0))])
-    return rows
-
-
 def featurize_pairs(table_a: pd.DataFrame, table_b: pd.DataFrame,
-                    attrs: list[str],
-                    pairs: list[tuple[str, str]]) -> np.ndarray:
-    """(n_pairs, n_attrs * 5) symbolic feature matrix.
+                    attrs: list[str], ij: np.ndarray) -> np.ndarray:
+    """(n_pairs, n_attrs * 5) symbolic feature matrix of the ``(n, 2)``
+    row-index pairs ``ij`` into ``table_a`` and ``table_b``.
 
     Only the rows the pairs use are read; per attribute, ``pair_features``
     parses each distinct value once and computes each feature once per
     distinct pair of values.
     """
-    ra, ia = np.unique(_rows(table_a, [a for a, _ in pairs]),
-                       return_inverse=True)
-    rb, ib = np.unique(_rows(table_b, [b for _, b in pairs]),
-                       return_inverse=True)
+    ra, ia = np.unique(ij[:, 0], return_inverse=True)
+    rb, ib = np.unique(ij[:, 1], return_inverse=True)
     n_f = len(simfns.PAIR_FEATURES)
-    X = np.empty((len(pairs), len(attrs) * n_f))
+    X = np.empty((len(ij), len(attrs) * n_f))
     for k, attr in enumerate(attrs):
         X[:, k * n_f:(k + 1) * n_f] = simfns.pair_features(
             table_a[attr].to_numpy(object)[ra],
@@ -72,7 +57,7 @@ class MagellanLite:
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self.clf.forward(X)[:, 0]
+        return self.clf(X)[:, 0]
 
     def predict(self, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
         return (self.predict_proba(X) >= threshold).astype(float)

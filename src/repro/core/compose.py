@@ -59,8 +59,7 @@ def avg_tuple_matrix(table: pd.DataFrame, attrs: list[str],
 
 
 def avg_tuple_vectors_spark(df: DataFrame, attrs: list[str],
-                            dict_name: str, d: int = 32,
-                            extra: dict | None = None) -> DataFrame:
+                            dict_name: str, d: int = 32) -> DataFrame:
     """Distributed Algorithm 1: ``(id, vec)`` with ``vec`` an ``m*d`` array.
 
     The dictionary is built from its registry name once per Python worker
@@ -73,9 +72,6 @@ def avg_tuple_vectors_spark(df: DataFrame, attrs: list[str],
     if dict_name not in FACTORIES:
         raise ValueError(f"unknown dictionary {dict_name!r}; "
                          f"known: {', '.join(sorted(FACTORIES))}")
-    spark = df.sparkSession
-    bc_extra = spark.sparkContext.broadcast(extra)
-
     schema = T.StructType([
         T.StructField("id", T.StringType()),
         T.StructField("vec", T.ArrayType(T.DoubleType())),
@@ -83,9 +79,8 @@ def avg_tuple_vectors_spark(df: DataFrame, attrs: list[str],
 
     def compute(iterator):
         dictionary = FACTORIES[dict_name](d)
-        ex = bc_extra.value
         for pdf in iterator:
-            mat = avg_tuple_matrix(pdf, attrs, dictionary, ex)
+            mat = avg_tuple_matrix(pdf, attrs, dictionary)
             yield pd.DataFrame({"id": pdf["id"].tolist(),
                                 "vec": list(map(list, mat))})
 

@@ -1,24 +1,27 @@
 """End-to-end DeepER evaluation pipeline (§5.1 protocol).
 
-``evaluate_deeper`` runs the paper's setup on one dataset: compute tuple
-DRs, build the labeled pair set (matches + sampled informative negatives),
-K-fold cross-validate the chosen model, and report mean F1/precision/recall.
-``evaluate_magellan`` runs the Magellan-lite baseline on the *same* pair
-set so the Table 4 comparison isolates the representation.
+``_prepare`` is the front half, built once per dataset on the driver: the
+dictionary, the tuple DRs, and the labeled pair set (matches + sampled
+informative negatives) as row indices into both tables. ``evaluate_deeper``
+K-fold cross-validates the chosen DeepER model on it and reports mean
+F1/precision/recall; ``evaluate_magellan`` runs the Magellan-lite baseline
+on the *same* pair set so the Table 4 comparison isolates the
+representation. ``compare`` runs both from one ``_prepare``.
 
 Both go through ``_cv``, which fits the K folds in parallel: one forked
 worker per fold, up to the CPUs this process may use. Each fold runs the
 same code on the same inputs with the same seed as in one process, so
 results are identical to a sequential loop. The workers run numpy only;
 they never touch Spark or py4j, which is what makes forking safe even
-when the caller holds a live SparkSession (``evaluate_deeper(spark=...)``).
+when the caller holds a live SparkSession.
 """
 from __future__ import annotations
 
 import gc
 import multiprocessing as mp
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from repro.core import compose
 from repro.core.model import AvgDeepER, AvgDeepEREndToEnd, LSTMDeepER
 from repro.core.pairs import f1_score, kfold_indices, sample_pairs
 from repro.core.similarity import per_attribute_cosine
-from repro.embeddings.pretrained import FACTORIES
+from repro.embeddings.pretrained import FACTORIES, SyntheticEmbeddings
 from repro.embeddings.retrofit import retrofit_vocabulary
 from repro.er_data.datasets import ERDataset, tuple_token_lists, vocabulary
 
@@ -64,44 +67,39 @@ class DeepERConfig:
                              "embeddings static")
 
 
-def _prepare(ds: ERDataset, cfg: DeepERConfig, spark=None):
-    """Shared front half: dictionary (+retrofit), tuple DRs, pair set.
+class Prepared(NamedTuple):
+    """What every evaluator of a dataset shares: dictionary, retrofitted OOV
+    vectors, tuple DRs, and the labeled pairs as row indices ``ij``."""
 
-    With ``spark`` given, tuple DRs are computed distributed (mapInPandas
-    per partition) and collected; otherwise on the driver. Both paths are
-    exactly equal (tested in test_core_compose).
-    """
+    dictionary: SyntheticEmbeddings
+    extra: dict | None
+    vec_a: np.ndarray
+    vec_b: np.ndarray
+    ij: np.ndarray
+    y: np.ndarray
+
+
+def _prepare(ds: ERDataset, cfg: DeepERConfig) -> Prepared:
+    """Dictionary (+retrofit), driver-side tuple DRs, and the pair set.
+
+    Raises ``ValueError`` for an empty match set and, through
+    ``ERDataset.row_pairs``, for a table that repeats an id."""
     dictionary = FACTORIES[cfg.dictionary](cfg.d)
     extra = None
     if cfg.use_retrofit:
         extra = retrofit_vocabulary(tuple_token_lists(ds), dictionary)
-    ids_a = ds.table_a["id"].tolist()
-    ids_b = ds.table_b["id"].tolist()
-    if spark is not None:
-        from repro.er_data.datasets import to_spark
-
-        df_a, df_b = to_spark(spark, ds)
-        got_a, mat_a = compose.collect_vectors(compose.avg_tuple_vectors_spark(
-            df_a, ds.attributes, cfg.dictionary, cfg.d, extra))
-        got_b, mat_b = compose.collect_vectors(compose.avg_tuple_vectors_spark(
-            df_b, ds.attributes, cfg.dictionary, cfg.d, extra))
-        row_a = {t: i for i, t in enumerate(got_a)}
-        row_b = {t: i for i, t in enumerate(got_b)}
-        vec_a = mat_a[[row_a[i] for i in ids_a]]
-        vec_b = mat_b[[row_b[i] for i in ids_b]]
-    else:
-        vec_a = compose.avg_tuple_matrix(ds.table_a, ds.attributes,
-                                         dictionary, extra)
-        vec_b = compose.avg_tuple_matrix(ds.table_b, ds.attributes,
-                                         dictionary, extra)
-    pairs, y, threshold = sample_pairs(
-        ds, vec_a, vec_b, ids_a, ids_b,
-        neg_ratio=cfg.neg_ratio, seed=cfg.seed,
+    vec_a = compose.avg_tuple_matrix(ds.table_a, ds.attributes,
+                                     dictionary, extra)
+    vec_b = compose.avg_tuple_matrix(ds.table_b, ds.attributes,
+                                     dictionary, extra)
+    pairs, y, _ = sample_pairs(
+        ds, vec_a, vec_b, ds.table_a["id"].tolist(),
+        ds.table_b["id"].tolist(), neg_ratio=cfg.neg_ratio, seed=cfg.seed,
     )
     if not pairs:
         raise ValueError(f"dataset {ds.name!r} has no labeled pairs: "
                          "its match set is empty")
-    return dictionary, extra, ids_a, ids_b, vec_a, vec_b, pairs, y, threshold
+    return Prepared(dictionary, extra, vec_a, vec_b, ds.row_pairs(pairs), y)
 
 
 # (model_factory, fit_predict, splits) of the ``_cv`` call a pool worker
@@ -160,20 +158,12 @@ def _cv(y, model_factory, fit_predict, cfg: DeepERConfig):
     }
 
 
-def evaluate_deeper(ds: ERDataset, cfg: DeepERConfig = DeepERConfig(),
-                    spark=None):
-    """Cross-validated DeepER F1 on one dataset. ``spark`` routes the DR
-    computation through the distributed mapInPandas path."""
-    (dictionary, extra, ids_a, ids_b, vec_a, vec_b,
-     pairs, y, _thr) = _prepare(ds, cfg, spark)
+def _deeper_cv(ds: ERDataset, cfg: DeepERConfig, prep: Prepared):
+    (ia, ib), y = prep.ij.T, prep.y
     m, d = len(ds.attributes), cfg.d
-    row_a = {t: i for i, t in enumerate(ids_a)}
-    row_b = {t: i for i, t in enumerate(ids_b)}
-    ia = np.asarray([row_a[a] for a, _ in pairs])
-    ib = np.asarray([row_b[b] for _, b in pairs])
 
     if cfg.composition == "avg" and not cfg.update_embeddings:
-        X = per_attribute_cosine(vec_a[ia], vec_b[ib], m, d)
+        X = per_attribute_cosine(prep.vec_a[ia], prep.vec_b[ib], m, d)
 
         def factory(fold):
             return AvgDeepER(m, hidden=cfg.hidden, lr=cfg.lr,
@@ -188,7 +178,7 @@ def evaluate_deeper(ds: ERDataset, cfg: DeepERConfig = DeepERConfig(),
 
     # trainable paths need token-id tensors
     vocab = vocabulary(ds)
-    index, emb = dictionary.as_matrix(vocab, extra=extra)
+    index, emb = prep.dictionary.as_matrix(vocab, extra=prep.extra)
     tok_a, msk_a = compose.encode_attr_tokens(ds.table_a, ds.attributes,
                                               index, cfg.max_tokens)
     tok_b, msk_b = compose.encode_attr_tokens(ds.table_b, ds.attributes,
@@ -217,16 +207,31 @@ def evaluate_deeper(ds: ERDataset, cfg: DeepERConfig = DeepERConfig(),
     return _cv(y, factory, fit_predict, cfg)
 
 
-def evaluate_magellan(ds: ERDataset, cfg: DeepERConfig = DeepERConfig()):
-    """Magellan-lite on the same pair set / CV splits as DeepER."""
-    (_dict, _extra, _ia, _ib, _va, _vb, pairs, y, _thr) = _prepare(ds, cfg)
-    X = featurize_pairs(ds.table_a, ds.table_b, ds.attributes, pairs)
+def _magellan_cv(ds: ERDataset, cfg: DeepERConfig, prep: Prepared):
+    X = featurize_pairs(ds.table_a, ds.table_b, ds.attributes, prep.ij)
 
     def factory(fold):
         return MagellanLite(X.shape[1], seed=cfg.seed + fold)
 
     def fit_predict(model, tr, te):
-        model.fit(X[tr], y[tr])
+        model.fit(X[tr], prep.y[tr])
         return model.predict(X[te])
 
-    return _cv(y, factory, fit_predict, cfg)
+    return _cv(prep.y, factory, fit_predict, cfg)
+
+
+def evaluate_deeper(ds: ERDataset, cfg: DeepERConfig = DeepERConfig()):
+    """Cross-validated DeepER F1 on one dataset."""
+    return _deeper_cv(ds, cfg, _prepare(ds, cfg))
+
+
+def evaluate_magellan(ds: ERDataset, cfg: DeepERConfig = DeepERConfig()):
+    """Magellan-lite on the same pair set / CV splits as DeepER."""
+    return _magellan_cv(ds, cfg, _prepare(ds, cfg))
+
+
+def compare(ds: ERDataset, cfg: DeepERConfig = DeepERConfig()):
+    """``(evaluate_deeper(ds, cfg), evaluate_magellan(ds, cfg))`` from one
+    ``_prepare``: both systems score the one labeled pair set it builds."""
+    prep = _prepare(ds, cfg)
+    return _deeper_cv(ds, cfg, prep), _magellan_cv(ds, cfg, prep)

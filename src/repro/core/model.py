@@ -78,7 +78,7 @@ class AvgDeepER:
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self.clf.forward(self.dense.forward(X))[:, 0]
+        return self.clf(self.dense(X))[:, 0]
 
 
 class AvgDeepEREndToEnd:
@@ -152,7 +152,7 @@ class AvgDeepEREndToEnd:
         for s in range(0, len(ids_a), 512):
             idx = np.arange(s, min(s + 512, len(ids_a)))
             X, _ = self._features(idx, data)
-            out.append(self.clf.forward(self.dense.forward(X))[:, 0])
+            out.append(self.clf(self.dense(X))[:, 0])
         return np.concatenate(out)
 
 

@@ -52,6 +52,22 @@ class ERDataset:
         return set(zip(self.table_a["id"].to_numpy()[ij[:, 0]].tolist(),
                        self.table_b["id"].to_numpy()[ij[:, 1]].tolist()))
 
+    def row_pairs(self, pairs) -> np.ndarray:
+        """``(n, 2)`` row indices of ``(id_a, id_b)`` pairs, the inverse of
+        :meth:`id_pairs`: ``ValueError`` if a table repeats an id (a row
+        would be a guess), ``KeyError`` for an id it does not hold."""
+        ids = np.asarray(list(pairs), dtype=object).reshape(-1, 2)
+        ij = np.empty(ids.shape, np.intp)
+        for k, table in enumerate((self.table_a, self.table_b)):
+            index = pd.Index(table["id"])
+            if not index.is_unique:
+                dup = index[index.duplicated()].unique().tolist()[:5]
+                raise ValueError(f"duplicate ids in table {'AB'[k]}: {dup}")
+            ij[:, k] = index.get_indexer(ids[:, k])
+            if (ij[:, k] < 0).any():
+                raise KeyError(ids[np.argmax(ij[:, k] < 0), k])
+        return ij
+
 
 # name -> (domain generator kwargs, sizes, tier, noise config)
 SPECS: dict[str, dict] = {

@@ -29,10 +29,11 @@ from repro.blocking import (
     random_hyperplanes,
     reduction_ratio,
 )
-from repro.core import DeepERConfig, evaluate_deeper, evaluate_magellan
+from repro.core import DeepERConfig, evaluate_deeper
 from repro.core.compose import avg_tuple_matrix, avg_tuple_vectors_spark
+from repro.core.deeper import compare
 from repro.embeddings import glove840
-from repro.er_data import DATASET_KEYS, SPECS, load, to_spark
+from repro.er_data import load, to_spark
 from repro.er_data.bio import load_bio
 from repro.er_data.translate import translate_dataset
 
@@ -93,15 +94,12 @@ def table3_rows(scale: float = 1.0) -> list[dict]:
     return rows
 
 
-def table4_rows(scale: float = 1.0, cfg: DeepERConfig = BASE_CFG,
-                spark: SparkSession | None = None) -> list[dict]:
-    """DeepER vs Magellan-lite F1 on all six datasets. With ``spark``, the
-    tuple-DR computation runs as a distributed mapInPandas dataflow."""
+def table4_rows(scale: float = 1.0, cfg: DeepERConfig = BASE_CFG) -> list[dict]:
+    """DeepER vs Magellan-lite F1 on all six datasets, both systems scored
+    on one labeled pair set per dataset."""
     rows = []
     for key in T4_ORDER:
-        ds = load(key, scale=scale)
-        d = evaluate_deeper(ds, cfg, spark=spark)
-        m = evaluate_magellan(ds, cfg)
+        d, m = compare(load(key, scale=scale), cfg)
         pm, pd_, pub = PAPER_T4[key]
         rows.append({
             "dataset": key,
@@ -171,10 +169,7 @@ def table7_rows(scale: float = 0.5, cfg: DeepERConfig = BASE_CFG) -> list[dict]:
 def bio_rows(cfg: DeepERConfig = BASE_CFG) -> list[dict]:
     """§5.2 'other domains': nucleotide dedup — DeepER (bio dictionary)
     vs the hand-crafted-feature ML baseline."""
-    ds = load_bio()
-    cfg = replace(cfg, dictionary="bio")  # one pair set for both systems
-    d = evaluate_deeper(ds, cfg)
-    m = evaluate_magellan(ds, cfg)
+    d, m = compare(load_bio(), replace(cfg, dictionary="bio"))
     return [{
         "benchmark": "nucleotide (21-organism analog)",
         "paper_deeper": PAPER_BIO["deeper"],

@@ -3,9 +3,10 @@
 Conventions: every layer exposes ``forward(x)`` returning the output and
 stashing a cache, and ``backward(dout)`` returning the gradient w.r.t. the
 input while accumulating parameter gradients in ``.grads`` (keyed like
-``.params``). Parameters are plain numpy arrays; an Adam optimizer rebinds
-them and their grads to views of its flat buffers, so layers only ever
-update them in place.
+``.params``). Inference calls a ``Dense`` as ``layer(x)``: the same output,
+no cache, so a model keeps no scored block alive. Parameters are plain
+numpy arrays; an Adam optimizer rebinds them and their grads to views of
+its flat buffers, so layers only ever update them in place.
 """
 from __future__ import annotations
 
@@ -41,16 +42,20 @@ class Dense:
         self.activation = activation
         self._cache: tuple | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The layer's output for ``x``, caching nothing: inference."""
         z = x @ self.params["W"] + self.params["b"]
         if self.activation == "sigmoid":
-            a = sigmoid(z)
-        elif self.activation == "tanh":
-            a = np.tanh(z)
-        elif self.activation is None:
-            a = z
-        else:  # pragma: no cover - guarded by constructor usage
-            raise ValueError(f"unknown activation {self.activation!r}")
+            return sigmoid(z)
+        if self.activation == "tanh":
+            return np.tanh(z)
+        if self.activation is None:
+            return z
+        raise ValueError(f"unknown activation {self.activation!r}")
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """``self(x)``, caching the input and output for ``backward``."""
+        a = self(x)
         self._cache = (x, a)
         return a
 

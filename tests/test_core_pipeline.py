@@ -211,6 +211,20 @@ class TestPipelineEndToEnd:
         with pytest.raises(ValueError, match="'rest_fz' has no labeled pairs"):
             evaluate(ds, SMALL)
 
+    @pytest.mark.parametrize("evaluate", [evaluate_deeper, evaluate_magellan])
+    def test_duplicated_id_raises(self, evaluate):
+        """A repeated A row makes every row index of its id a guess: both
+        systems refuse it rather than score a pair set built on one."""
+        ds = load("rest_fz", scale=0.2)
+        dup = pd.concat([ds.table_a, ds.table_a.iloc[:1]], ignore_index=True)
+        with pytest.raises(ValueError, match="duplicate ids in table A"):
+            evaluate(replace(ds, table_a=dup), SMALL)
+
+    def test_compare_equals_both_evaluators(self):
+        ds = load("rest_fz", scale=0.2)
+        assert deeper.compare(ds, SMALL) == (evaluate_deeper(ds, SMALL),
+                                             evaluate_magellan(ds, SMALL))
+
 
 # ------------------------------------------------------------ references -
 # The per-pair implementations that the batched featurizer and the
@@ -529,7 +543,8 @@ class TestFeaturizePairs:
                                    seed=seed)
         ta, tb, edge_pairs = _with_edge_cells(ds)
         pairs = pairs + edge_pairs
-        X = featurize_pairs(ta, tb, ds.attributes, pairs)
+        ij = replace(ds, table_a=ta, table_b=tb).row_pairs(pairs)
+        X = featurize_pairs(ta, tb, ds.attributes, ij)
         assert X.shape == (len(pairs), 5 * len(ds.attributes))
         assert not np.isnan(X).any()
         assert np.array_equal(
@@ -551,30 +566,9 @@ class TestFeaturizePairs:
 
     def test_empty_pair_list(self):
         ds = load("rest_fz", scale=0.1)
-        X = featurize_pairs(ds.table_a, ds.table_b, ds.attributes, [])
+        X = featurize_pairs(ds.table_a, ds.table_b, ds.attributes,
+                            ds.row_pairs([]))
         assert X.shape == (0, 5 * len(ds.attributes))
-
-    def test_duplicate_id_raises(self):
-        ds = load("rest_fz", scale=0.1)
-        a0 = ds.table_a["id"].iloc[0]
-        b0 = ds.table_b["id"].iloc[0]
-        dup = pd.concat([ds.table_a, ds.table_a.iloc[:1]], ignore_index=True)
-        with pytest.raises(ValueError, match="duplicate"):
-            featurize_pairs(dup, ds.table_b, ds.attributes, [(a0, b0)])
-        dup = pd.concat([ds.table_b.iloc[:1], ds.table_b], ignore_index=True)
-        with pytest.raises(ValueError, match="duplicate"):
-            featurize_pairs(ds.table_a, dup, ds.attributes, [(a0, b0)])
-
-    def test_unknown_id_raises_key_error(self):
-        ds = load("rest_fz", scale=0.1)
-        a0 = ds.table_a["id"].iloc[0]
-        b0 = ds.table_b["id"].iloc[0]
-        with pytest.raises(KeyError):
-            featurize_pairs(ds.table_a, ds.table_b, ds.attributes,
-                            [(a0, b0), ("no-such-id", b0)])
-        with pytest.raises(KeyError):
-            featurize_pairs(ds.table_a, ds.table_b, ds.attributes,
-                            [(a0, "no-such-id")])
 
 
 # ---------------------------------------------------------- parallel CV -

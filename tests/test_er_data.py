@@ -1,4 +1,6 @@
 """Tests for the synthetic benchmark dataset generators."""
+from dataclasses import replace
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -180,6 +182,40 @@ class TestTokenListsAndCoverage:
         cov_wa = d.coverage(vocabulary(load("prod_wa", scale=SCALE)))
         cov_da = d.coverage(vocabulary(load("pub_da", scale=SCALE)))
         assert cov_wa < cov_da  # wide schema carries IDs (partial coverage)
+
+
+class TestRowPairs:
+    """``ERDataset.row_pairs``: the one id -> row boundary every evaluator
+    goes through."""
+
+    def test_inverse_of_id_pairs(self):
+        ds = load("rest_fz", scale=SCALE)
+        pairs = sorted(ds.matches) + [(ds.table_a["id"][0],
+                                       ds.table_b["id"][0])]
+        ij = ds.row_pairs(pairs)
+        assert ij.shape == (len(pairs), 2) and ij.dtype == np.intp
+        assert list(zip(ds.table_a["id"][ij[:, 0]],
+                        ds.table_b["id"][ij[:, 1]])) == pairs
+        assert ds.id_pairs(ij) == set(pairs)
+        assert ds.row_pairs([]).shape == (0, 2)
+
+    def test_duplicate_id_raises(self):
+        ds = load("rest_fz", scale=0.1)
+        pair = [(ds.table_a["id"][0], ds.table_b["id"][0])]
+        dup = pd.concat([ds.table_a, ds.table_a.iloc[:1]], ignore_index=True)
+        with pytest.raises(ValueError, match="duplicate ids in table A"):
+            replace(ds, table_a=dup).row_pairs(pair)
+        dup = pd.concat([ds.table_b.iloc[:1], ds.table_b], ignore_index=True)
+        with pytest.raises(ValueError, match="duplicate ids in table B"):
+            replace(ds, table_b=dup).row_pairs(pair)
+
+    def test_unknown_id_raises_key_error(self):
+        ds = load("rest_fz", scale=0.1)
+        a0, b0 = ds.table_a["id"][0], ds.table_b["id"][0]
+        with pytest.raises(KeyError, match="no-such-id"):
+            ds.row_pairs([(a0, b0), ("no-such-id", b0)])
+        with pytest.raises(KeyError, match="no-such-id"):
+            ds.row_pairs([(a0, "no-such-id")])
 
 
 class TestSparkConversion:

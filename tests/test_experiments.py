@@ -6,7 +6,6 @@ under ``results/``: a test that writes redirects
 import importlib.util
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro import experiments
@@ -121,33 +120,44 @@ class TestBlockingSweeps:
         assert [c.strip() for c in committed[1].split("|")] == cols
 
 
+def _record_sample_pairs(monkeypatch) -> list:
+    """The ``(pairs, y, threshold)`` of every ``deeper.sample_pairs`` call
+    made after this, in call order."""
+    sampled = []
+    sample = deeper.sample_pairs
+
+    def recording(*args, **kwargs):
+        sampled.append(sample(*args, **kwargs))
+        return sampled[-1]
+
+    monkeypatch.setattr(deeper, "sample_pairs", recording)
+    return sampled
+
+
 class TestTable4:
     def test_table4_equals_committed_result(self):
-        """Table 4, rebuilt in memory on the driver path, passes its shape
-        check and is byte-identical to ``results/table4.md`` (the job
-        writes it through the Spark DR path)."""
+        """Table 4, rebuilt in memory, passes its shape check and is
+        byte-identical to ``results/table4.md``."""
         rows = table4_rows()
         _check("table4", rows)
         assert render("table4", rows) == _committed("table4")
 
+    def test_one_pair_set_per_dataset(self, monkeypatch):
+        """DeepER and Magellan-lite share each dataset's labeled pair set:
+        it is sampled once per dataset, not once per system."""
+        sampled = _record_sample_pairs(monkeypatch)
+        rows = table4_rows(scale=0.2, cfg=FAST)
+        assert [r["dataset"] for r in rows] == T4_ORDER
+        assert len(sampled) == len(T4_ORDER)
+
 
 class TestBio:
     def test_deeper_and_magellan_get_one_pair_set(self, monkeypatch):
-        """Both §5.2 systems are scored on the same labeled pairs, as
-        ``evaluate_magellan`` promises: one dictionary ranks the negatives
-        for both."""
-        sampled = []
-        sample = deeper.sample_pairs
-
-        def recording(*args, **kwargs):
-            sampled.append(sample(*args, **kwargs))
-            return sampled[-1]
-
-        monkeypatch.setattr(deeper, "sample_pairs", recording)
+        """Both §5.2 systems are scored on the same labeled pairs: one
+        dictionary ranks the negatives, once, for both."""
+        sampled = _record_sample_pairs(monkeypatch)
         bio_rows()
-        (pairs_d, y_d, _), (pairs_m, y_m, _) = sampled
-        assert pairs_d == pairs_m
-        assert np.array_equal(y_d, y_m)
+        assert len(sampled) == 1
 
 
 class TestFormatting:

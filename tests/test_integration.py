@@ -1,5 +1,7 @@
 """Integration tests: the full block -> match pipeline (Algorithm 4) run as
 a distributed Spark dataflow, evaluated against ground truth."""
+import os
+
 import numpy as np
 import pytest
 
@@ -121,12 +123,18 @@ class TestTranslateAndBio:
         assert evaluate_deeper(ds, cfg)["f1"] > 0.7
 
 
-def test_cv_folds_fork_safely_beside_a_live_spark_session(spark):
+def test_cv_folds_fork_safely_beside_a_live_spark_session(spark,
+                                                          monkeypatch):
     """``_cv`` forks its fold workers while this process holds a live
     SparkSession. The workers run numpy only, so the result equals the
-    driver path's and the session still runs jobs afterwards."""
-    from repro.core import DeepERConfig, evaluate_deeper
+    sequential fold loop's and the session still runs jobs afterwards."""
+    from repro.core import DeepERConfig, deeper, evaluate_deeper
+    from tests.test_core_pipeline import _ref_cv
     ds = load("rest_fz", scale=0.3)
     cfg = DeepERConfig(folds=3, neg_ratio=4, d=32, epochs=6)
-    assert evaluate_deeper(ds, cfg, spark=spark) == evaluate_deeper(ds, cfg)
+    assert spark.range(5).count() == 5
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    got = evaluate_deeper(ds, cfg)
+    monkeypatch.setattr(deeper, "_cv", _ref_cv)
+    assert got == evaluate_deeper(ds, cfg)
     assert spark.range(5).count() == 5

@@ -22,13 +22,11 @@ CFG = DeepERConfig(folds=2, neg_ratio=8, d=48, epochs=15)
 
 
 def _pair_features(ds, cfg):
-    (dic, extra, ids_a, ids_b, va, vb, pairs, y, _t) = _prepare(ds, cfg)
-    ra = {t: i for i, t in enumerate(ids_a)}
-    rb = {t: i for i, t in enumerate(ids_b)}
-    X = per_attribute_cosine(va[[ra[a] for a, _ in pairs]],
-                             vb[[rb[b] for _, b in pairs]],
+    prep = _prepare(ds, cfg)
+    X = per_attribute_cosine(prep.vec_a[prep.ij[:, 0]],
+                             prep.vec_b[prep.ij[:, 1]],
                              len(ds.attributes), cfg.d)
-    return X, y
+    return X, prep.y
 
 
 def _cv_f1(X, y, train_frac=1.0, flip_frac=0.0, seed=0):

@@ -239,6 +239,45 @@ def test_lstm_deeper_equals_reference(bidirectional):
                           new.predict_proba(*data[:4]))
 
 
+@pytest.mark.parametrize("activation", [None, "sigmoid", "tanh"])
+def test_dense_call_is_forward_without_cache(activation):
+    layer = Dense(5, 3, activation=activation,
+                  rng=np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(size=(7, 5))
+    out = layer(x)
+    assert layer._cache is None
+    assert np.array_equal(out, layer.forward(x))
+    assert layer._cache[0] is x
+
+
+@pytest.mark.parametrize("build", [
+    lambda X, y: AvgDeepER(4, hidden=6, epochs=2, batch=8).fit(X, y),
+    lambda X, y: MagellanLite(4, epochs=2, batch=8).fit(X, y),
+], ids=["avg", "magellan"])
+def test_predict_proba_keeps_no_scored_block(build):
+    """Scoring leaves every dense layer's cache as the last training step
+    left it, so a model keeps no scored block alive."""
+    rng = np.random.default_rng(2)
+    X = rng.random((40, 4))
+    y = (X[:, 0] > 0.5).astype(float)
+    model = build(X, y)
+    layers = [l for l in vars(model).values() if isinstance(l, Dense)]
+    trained = [l._cache for l in layers]
+    model.predict_proba(rng.random((300, 4)))
+    assert all(l._cache is c for l, c in zip(layers, trained))
+
+
+def test_end_to_end_predict_proba_keeps_no_scored_block():
+    data = _token_data(np.random.default_rng(4))
+    emb = np.random.default_rng(5).normal(size=(20, 5))
+    model = AvgDeepEREndToEnd(2, emb, hidden=6, epochs=1, batch=8)
+    model.fit(*data)
+    trained = model.dense._cache, model.clf._cache
+    model.predict_proba(*data[:4])
+    assert model.dense._cache is trained[0]
+    assert model.clf._cache is trained[1]
+
+
 class _Vector:
     """A module with only 1-D params: its optimizer's decayed prefix is empty."""
 
