@@ -83,7 +83,7 @@ def _prepare(ds: ERDataset, cfg: DeepERConfig) -> Prepared:
     """Dictionary (+retrofit), driver-side tuple DRs, and the pair set.
 
     Raises ``ValueError`` for an empty match set and, through
-    ``ERDataset.row_pairs``, for a table that repeats an id."""
+    ``sample_pairs``, for a table that repeats an id."""
     dictionary = FACTORIES[cfg.dictionary](cfg.d)
     extra = None
     if cfg.use_retrofit:

@@ -196,12 +196,21 @@ class LSTMDeepER:
         return seq, sel_mask.transpose(1, 0, 2).reshape(m * B, T)
 
     def _forward(self, idx, data, state=None):
+        """Match probabilities of the pairs ``idx``. Training passes a
+        ``state`` dict: every layer then caches for ``backward``, and
+        ``state`` gets what the similarity's backward needs. Without it
+        nothing is cached, so a model keeps no scored block alive."""
+        if state is None:
+            enc, dense, clf = self.enc, self.dense, self.clf
+        else:
+            enc, dense, clf = (self.enc.forward, self.dense.forward,
+                               self.clf.forward)
         ids_a, mask_a, ids_b, mask_b = data
         seq_a, ma = self._stack(idx, ids_a, mask_a)
         seq_b, mb = self._stack(idx, ids_b, mask_b)
         seq = np.concatenate([seq_a, seq_b], axis=0)
         msk = np.concatenate([ma, mb], axis=0)
-        h = self.enc.forward(seq, msk)            # (2mB, out)
+        h = enc(seq, msk)                         # (2mB, out)
         B = len(idx)
         ha = h[: self.m * B].reshape(self.m, B, self.out_dim)
         hb = h[self.m * B:].reshape(self.m, B, self.out_dim)
@@ -210,7 +219,7 @@ class LSTMDeepER:
         if state is not None:
             state["sign"] = np.sign(diff)
             state["B"] = B
-        return self.clf.forward(self.dense.forward(feat))[:, 0]
+        return clf(dense(feat))[:, 0]
 
     def fit(self, ids_a, mask_a, ids_b, mask_b, y) -> "LSTMDeepER":
         data = (ids_a, mask_a, ids_b, mask_b)

@@ -24,13 +24,16 @@ def sample_pairs(ds: ERDataset, vec_a: np.ndarray, vec_b: np.ndarray,
     and labels are 1.0 for matches. Negatives per positive: ``neg_ratio``,
     half drawn as informative near-misses (highest-cosine non-matches), half
     uniform; both lie below the threshold. Raises ``ValueError`` if
-    ``neg_ratio < 0``.
+    ``neg_ratio < 0`` or if ``ids_a`` or ``ids_b`` repeats an id.
     """
     if neg_ratio < 0:
         raise ValueError(f"neg_ratio must be >= 0, got {neg_ratio}")
     rng = np.random.default_rng(seed)
     row_a = {t: i for i, t in enumerate(ids_a)}
     row_b = {t: i for i, t in enumerate(ids_b)}
+    for side, ids, rows in (("A", ids_a, row_a), ("B", ids_b, row_b)):
+        if len(rows) < len(ids):
+            raise ValueError(f"duplicate ids in table {side}")
     match_of = {a: b for a, b in ds.matches}
 
     pairs: list[tuple[str, str]] = sorted(ds.matches)
@@ -44,13 +47,10 @@ def sample_pairs(ds: ERDataset, vec_a: np.ndarray, vec_b: np.ndarray,
     threshold = float(np.percentile(pos_sims, 5)) if pairs else 0.0
 
     n_b = len(ids_b)
-    # equal ids share a code, so "not the match" is an integer compare
-    code_of = {t: c for c, t in enumerate(dict.fromkeys(ids_b))}
-    code_b = np.fromiter((code_of[t] for t in ids_b), np.int64, n_b)
     n_hard, n_easy = neg_ratio - neg_ratio // 2, neg_ratio // 2
-    # rank as many extra as one id has rows: the match's own rows may sit
-    # among the top ones and are dropped from ``hard``
-    n_top = n_hard + np.bincount(code_b).max() if n_hard and n_b else 0
+    # rank one extra: the match's own row may sit among the top ones and
+    # is dropped from ``hard``
+    n_top = n_hard + 1 if n_hard and n_b else 0
     pos_a = sorted({a for a, _ in ds.matches})
     rows_a = np.fromiter((row_a[a] for a in pos_a), np.intp, len(pos_a))
     # Paper §5.1: negatives are non-matches whose cosine lies *below* the
@@ -58,10 +58,11 @@ def sample_pairs(ds: ERDataset, vec_a: np.ndarray, vec_b: np.ndarray,
     # those, prefer the most similar ones (informative near-misses, the
     # "truck not dog" principle). Pairs above the threshold are boundary
     # cases excluded from the labeled set.
-    ranked = cosine_topk(vec_a[rows_a], vec_b, int(n_top), below=threshold)
+    ranked = cosine_topk(vec_a[rows_a], vec_b, n_top, below=threshold)
     seen = set(pairs)
+    rows_b = np.arange(n_b)
     for a, (top, below) in zip(pos_a, ranked):
-        other = code_b != code_of.get(match_of[a], -1)
+        other = rows_b != row_b[match_of[a]]
         hard = top[other[top]][:n_hard]
         perm = rng.permutation(n_b)
         easy = perm[(below & other)[perm]][:n_easy]

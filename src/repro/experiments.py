@@ -20,8 +20,6 @@ from pathlib import Path
 from pyspark.sql import SparkSession
 
 from repro.blocking import (
-    add_lsh_codes,
-    candidate_pairs,
     candidate_pairs_np,
     lsh_codes_np,
     multiprobe_topn_candidates,
@@ -30,12 +28,13 @@ from repro.blocking import (
     reduction_ratio,
 )
 from repro.core import DeepERConfig, evaluate_deeper
-from repro.core.compose import avg_tuple_matrix, avg_tuple_vectors_spark
+from repro.core.compose import avg_tuple_matrix
 from repro.core.deeper import compare
 from repro.embeddings import glove840
-from repro.er_data import load, to_spark
+from repro.er_data import load
 from repro.er_data.bio import load_bio
 from repro.er_data.translate import translate_dataset
+from repro.pipeline import resolve
 
 BASE_CFG = DeepERConfig(folds=3, neg_ratio=20, d=64, seed=0)
 
@@ -233,26 +232,22 @@ def multiprobe_rows(scale: float = 0.5, d: int = 64) -> list[dict]:
 
 def blocking_spark_rows(spark: SparkSession, scale: float = 1.0,
                         d: int = 64) -> list[dict]:
-    """End-to-end distributed LSH blocking on Prod-AG: Spark tuple DRs,
-    mapInPandas hash codes, then the equi-join similarity join.
+    """End-to-end distributed LSH blocking on Prod-AG: ``resolve`` on
+    Spark without a model (tuple DRs and hash codes by mapInPandas, then
+    the equi-join similarity join).
 
     K=5, L=6 calibrated for our scaled DRs (matched-pair cosine ~0.75 →
     per-bit collision ~0.77 → PC ~ 1-(1-0.77^5)^6 ~ 0.85). The paper's
     §4.5 example (K=12, L=2 from Equation 1 with P1=0.95) assumes a far
     higher per-bit collision than d=64 synthetic embeddings deliver."""
     ds = load("prod_ag", scale=scale)
-    df_a, df_b = to_spark(spark, ds)
-    va = avg_tuple_vectors_spark(df_a, ds.attributes, "glove840", d)
-    vb = avg_tuple_vectors_spark(df_b, ds.attributes, "glove840", d)
     planes = random_hyperplanes(len(ds.attributes) * d, K=5, L=6, seed=0)
-    cands = {(r["id_a"], r["id_b"])
-             for r in candidate_pairs(add_lsh_codes(va, planes),
-                                      add_lsh_codes(vb, planes)).collect()}
+    ij = resolve(ds, planes, DeepERConfig(d=d), spark=spark).ij
     return [{
-        "pair_completeness": f"{pair_completeness(cands, ds.matches):.3f}",
-        "reduction_ratio":
-            f"{reduction_ratio(len(cands), ds.n_a, ds.n_b):.4f}",
-        "candidates": len(cands), "pairs": ds.n_a * ds.n_b,
+        "pair_completeness":
+            f"{pair_completeness(ds.id_pairs(ij), ds.matches):.3f}",
+        "reduction_ratio": f"{reduction_ratio(len(ij), ds.n_a, ds.n_b):.4f}",
+        "candidates": len(ij), "pairs": ds.n_a * ds.n_b,
     }]
 
 

@@ -22,7 +22,8 @@ class LSTM:
 
     ``forward(X, mask)`` consumes ``X`` of shape ``(B, T, d)`` and returns
     ``(B, h)``. ``backward(dh)`` returns ``dX`` of shape ``(B, T, d)`` for
-    embedding fine-tuning and accumulates parameter gradients.
+    embedding fine-tuning and accumulates parameter gradients. Inference
+    calls the encoder as ``enc(X, mask)``: the same output, no BPTT cache.
     """
 
     def __init__(self, d_in: int, d_hidden: int, *, rng: np.random.Generator | None = None):
@@ -40,13 +41,15 @@ class LSTM:
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self._cache = None
 
-    def forward(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    def __call__(self, X: np.ndarray, mask: np.ndarray,
+                 steps: list | None = None) -> np.ndarray:
+        """The final hidden state for ``X``. Caches nothing (inference);
+        appends each step's BPTT inputs to ``steps`` when it is given."""
         B, T, d = X.shape
         h = self.d_hidden
         Wx, Wh, b = self.params["Wx"], self.params["Wh"], self.params["b"]
         h_t = np.zeros((B, h))
         c_t = np.zeros((B, h))
-        steps = []
         for t in range(T):
             x_t = X[:, t, :]
             m = mask[:, t][:, None]
@@ -61,7 +64,14 @@ class LSTM:
             h_prev, c_prev = h_t, c_t
             h_t = m * h_raw + (1.0 - m) * h_prev
             c_t = m * c_raw + (1.0 - m) * c_prev
-            steps.append((x_t, h_prev, c_prev, i, f, o, g, tc, m))
+            if steps is not None:
+                steps.append((x_t, h_prev, c_prev, i, f, o, g, tc, m))
+        return h_t
+
+    def forward(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """``self(X, mask)``, caching every step for ``backward``."""
+        steps = []
+        h_t = self(X, mask, steps)
         self._cache = (X.shape, steps)
         return h_t
 
@@ -129,6 +139,12 @@ class BiLSTM:
     @property
     def modules(self):
         return [self.fwd, self.bwd]
+
+    def __call__(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """The concatenated final states for ``X``, caching nothing."""
+        hf = self.fwd(X, mask)
+        hb = self.bwd(_reverse_padded(X, mask), mask)
+        return np.concatenate([hf, hb], axis=1)
 
     def forward(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
         self._mask = mask

@@ -420,6 +420,18 @@ def test_sample_pairs_rejects_negative_neg_ratio():
         sample_pairs(ds, va, vb, ids_a, ids_b, neg_ratio=-1)
 
 
+@pytest.mark.parametrize("side", [0, 1])
+def test_sample_pairs_rejects_repeated_id(side):
+    """A repeated id makes its row a guess: the sampler refuses it before
+    ranking or drawing anything."""
+    ds, va, vb, ids_a, ids_b = _sampled("rest_fz", 0)
+    ids = [list(ids_a), list(ids_b)]
+    ids[side][1] = ids[side][0]
+    with pytest.raises(ValueError,
+                       match=f"duplicate ids in table {'AB'[side]}"):
+        sample_pairs(ds, va, vb, *ids)
+
+
 @pytest.mark.parametrize("neg_ratio", [0, 1])
 def test_sample_pairs_small_neg_ratio_equals_reference(neg_ratio):
     ds, va, vb, ids_a, ids_b = _sampled("rest_fz", 0)

@@ -6,86 +6,46 @@ import numpy as np
 import pytest
 
 from repro.blocking import (
-    add_lsh_codes,
-    candidate_pairs,
     end_to_end_pr,
     pair_completeness,
     random_hyperplanes,
     reduction_ratio,
 )
-from repro.core.compose import avg_tuple_matrix, avg_tuple_vectors_spark
-from repro.core.model import AvgDeepER
-from repro.core.pairs import sample_pairs
-from repro.core.scoring import score_candidates_spark
-from repro.core.similarity import per_attribute_cosine
-from repro.embeddings import glove840
-from repro.er_data import load, to_spark
+from repro.core import DeepERConfig
+from repro.er_data import load
+from repro.pipeline import fit_matcher, resolve
 
 
 @pytest.fixture(scope="module")
 def pipeline(spark):
-    """Train a matcher on labeled pairs, then run blocking + distributed
-    scoring over the whole dataset."""
+    """Train a matcher on the labeled pair set (driver side), then resolve
+    the whole dataset on Spark and on the driver."""
     ds = load("rest_fz", scale=1.0)
-    d = glove840(48)
-    m = len(ds.attributes)
-
-    # train the matcher on the labeled pair set (driver side)
-    va = avg_tuple_matrix(ds.table_a, ds.attributes, d)
-    vb = avg_tuple_matrix(ds.table_b, ds.attributes, d)
-    ids_a = ds.table_a["id"].tolist()
-    ids_b = ds.table_b["id"].tolist()
-    pairs, y, _ = sample_pairs(ds, va, vb, ids_a, ids_b, neg_ratio=10,
-                               seed=0)
-    ra = {t: i for i, t in enumerate(ids_a)}
-    rb = {t: i for i, t in enumerate(ids_b)}
-    X = per_attribute_cosine(
-        va[[ra[a] for a, _ in pairs]], vb[[rb[b] for _, b in pairs]],
-        m, d.d)
-    model = AvgDeepER(m, epochs=20, seed=0).fit(X, y)
-
-    # distributed: vectors -> LSH codes -> candidates -> scores
-    df_a, df_b = to_spark(spark, ds)
-    sva = avg_tuple_vectors_spark(df_a, ds.attributes, "glove840", d.d)
-    svb = avg_tuple_vectors_spark(df_b, ds.attributes, "glove840", d.d)
-    planes = random_hyperplanes(m * d.d, K=4, L=4, seed=1)
-    cands = candidate_pairs(add_lsh_codes(sva, planes),
-                            add_lsh_codes(svb, planes))
-    scored = score_candidates_spark(cands, sva, svb, model, m, d.d)
-    rows = scored.collect()
-    return ds, model, cands, rows
+    cfg = DeepERConfig(d=48, neg_ratio=10, epochs=20)
+    model = fit_matcher(ds, cfg)
+    planes = random_hyperplanes(len(ds.attributes) * cfg.d, K=4, L=4, seed=1)
+    return (ds, resolve(ds, planes, cfg, model, spark=spark),
+            resolve(ds, planes, cfg, model))
 
 
 class TestFullPipeline:
     def test_blocking_metrics(self, pipeline):
-        ds, _, cands, _ = pipeline
-        cset = {(r["id_a"], r["id_b"]) for r in cands.collect()}
-        assert pair_completeness(cset, ds.matches) > 0.9
-        assert reduction_ratio(len(cset), ds.n_a, ds.n_b) < 0.5
+        ds, dist, _ = pipeline
+        assert pair_completeness(ds.id_pairs(dist.ij), ds.matches) > 0.9
+        assert reduction_ratio(len(dist.ij), ds.n_a, ds.n_b) < 0.5
 
     def test_end_to_end_precision_recall(self, pipeline):
-        ds, _, _, rows = pipeline
-        predicted = {(r["id_a"], r["id_b"]) for r in rows
-                     if r["prob"] >= 0.5}
+        ds, dist, _ = pipeline
+        predicted = ds.id_pairs(dist.ij[dist.prob >= 0.5])
         prec, rec = end_to_end_pr(predicted, ds.matches)
         assert prec > 0.8
         assert rec > 0.8
 
     def test_spark_scores_match_driver_model(self, pipeline):
         """Distributed scoring must equal driver-side head application."""
-        ds, model, _, rows = pipeline
-        d = glove840(48)
-        m = len(ds.attributes)
-        va = avg_tuple_matrix(ds.table_a, ds.attributes, d)
-        vb = avg_tuple_matrix(ds.table_b, ds.attributes, d)
-        ra = {t: i for i, t in enumerate(ds.table_a["id"])}
-        rb = {t: i for i, t in enumerate(ds.table_b["id"])}
-        X = per_attribute_cosine(
-            va[[ra[r["id_a"]] for r in rows]],
-            vb[[rb[r["id_b"]] for r in rows]], m, d.d)
-        want = model.predict_proba(X)
-        got = np.array([r["prob"] for r in rows])
-        np.testing.assert_allclose(got, want, atol=1e-9)
+        _, dist, driver = pipeline
+        assert np.array_equal(dist.ij, driver.ij)
+        np.testing.assert_allclose(dist.prob, driver.prob, atol=1e-9)
 
 
 class TestTranslateAndBio:

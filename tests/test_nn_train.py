@@ -10,7 +10,7 @@ import repro.core.model as model_mod
 import repro.nn.adam as adam_mod
 from repro.baselines.magellan_lite import MagellanLite
 from repro.core.model import AvgDeepER, AvgDeepEREndToEnd, LSTMDeepER
-from repro.nn import LSTM, Adam, Dense, TrainLoop, bce_loss
+from repro.nn import LSTM, Adam, BiLSTM, Dense, TrainLoop, bce_loss
 
 
 def test_dense_learns_linearly_separable():
@@ -276,6 +276,37 @@ def test_end_to_end_predict_proba_keeps_no_scored_block():
     model.predict_proba(*data[:4])
     assert model.dense._cache is trained[0]
     assert model.clf._cache is trained[1]
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_lstm_predict_proba_keeps_no_scored_block(bidirectional):
+    """LSTM scoring leaves the encoder's BPTT cache and every dense
+    layer's cache as the last training step left them."""
+    data = _token_data(np.random.default_rng(4))
+    emb = np.random.default_rng(5).normal(size=(20, 5))
+    model = LSTMDeepER(2, emb, bidirectional=bidirectional, lstm_dim=4,
+                       hidden=6, epochs=1, batch=8).fit(*data)
+    layers = [model.dense, model.clf,
+              *(model.enc.modules if bidirectional else [model.enc])]
+    trained = [l._cache for l in layers]
+    mask = getattr(model.enc, "_mask", None)
+    model.predict_proba(*data[:4])
+    assert all(c is not None for c in trained)
+    assert all(l._cache is c for l, c in zip(layers, trained))
+    assert getattr(model.enc, "_mask", None) is mask
+
+
+@pytest.mark.parametrize("cls", [LSTM, BiLSTM])
+def test_lstm_call_is_forward_without_cache(cls):
+    enc = cls(3, 4, rng=np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(6, 5, 3))
+    mask = (rng.random((6, 5)) < 0.7).astype(float)
+    out = enc(X, mask)
+    modules = enc.modules if cls is BiLSTM else [enc]
+    assert all(m._cache is None for m in modules)
+    assert np.array_equal(out, enc.forward(X, mask))
+    assert all(m._cache is not None for m in modules)
 
 
 class _Vector:

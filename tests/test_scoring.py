@@ -7,20 +7,13 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.blocking import (
-    add_lsh_codes,
-    candidate_pairs,
-    candidate_pairs_np,
-    lsh_codes_np,
-    random_hyperplanes,
-)
-from repro.core.compose import avg_tuple_matrix, avg_tuple_vectors_spark
+from repro.blocking import add_lsh_codes, candidate_pairs, random_hyperplanes
+from repro.core import DeepERConfig
+from repro.core.compose import avg_tuple_vectors_spark
 from repro.core.model import AvgDeepER
-from repro.core.pairs import sample_pairs
 from repro.core.scoring import score_candidates_spark
-from repro.core.similarity import per_attribute_cosine
-from repro.embeddings import glove840
 from repro.er_data import load, to_spark
+from repro.pipeline import fit_matcher, resolve
 
 D = 32
 
@@ -31,25 +24,13 @@ def setup(spark):
     probability for every driver candidate, keyed by id pair."""
     ds = load("rest_fz", scale=0.3)
     m = len(ds.attributes)
-    dictionary = glove840(D)
-    va = avg_tuple_matrix(ds.table_a, ds.attributes, dictionary)
-    vb = avg_tuple_matrix(ds.table_b, ds.attributes, dictionary)
-    ids_a = ds.table_a["id"].tolist()
-    ids_b = ds.table_b["id"].tolist()
-    ra = {t: i for i, t in enumerate(ids_a)}
-    rb = {t: i for i, t in enumerate(ids_b)}
-    pairs, y, _ = sample_pairs(ds, va, vb, ids_a, ids_b, neg_ratio=5, seed=0)
-    X = per_attribute_cosine(va[[ra[a] for a, _ in pairs]],
-                             vb[[rb[b] for _, b in pairs]], m, D)
-    model = AvgDeepER(m, epochs=5, seed=0).fit(X, y)
-
+    cfg = DeepERConfig(d=D, neg_ratio=5, epochs=5)
+    model = fit_matcher(ds, cfg)
     planes = random_hyperplanes(m * D, K=4, L=2, seed=3)
-    ij = candidate_pairs_np(lsh_codes_np(va, planes), lsh_codes_np(vb, planes))
-    prob = model.predict_proba(
-        per_attribute_cosine(va[ij[:, 0]], vb[ij[:, 1]], m, D))
+    ij, prob = resolve(ds, planes, cfg, model)
     want = pd.Series(prob, index=pd.MultiIndex.from_arrays(
-        [np.asarray(ids_a)[ij[:, 0]], np.asarray(ids_b)[ij[:, 1]]],
-        names=["id_a", "id_b"]))
+        [ds.table_a["id"].to_numpy()[ij[:, 0]],
+         ds.table_b["id"].to_numpy()[ij[:, 1]]], names=["id_a", "id_b"]))
 
     df_a, df_b = to_spark(spark, ds)
     sva = avg_tuple_vectors_spark(df_a, ds.attributes, "glove840", D).cache()
