@@ -21,6 +21,7 @@ import gc
 import multiprocessing as mp
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +46,7 @@ class DeepERConfig:
 
     composition: str = "avg"        # avg | lstm | bilstm
     dictionary: str = "glove840"
-    d: int = 32                     # paper: 300
+    d: int = 64                     # paper: 300
     update_embeddings: bool = False  # Figure 8 "Update"
     use_retrofit: bool = False      # §3.2 vocabulary retrofitting
     lstm_dim: int = 24              # paper: 150
@@ -158,53 +159,43 @@ def _cv(y, model_factory, fit_predict, cfg: DeepERConfig):
     }
 
 
+def network(cfg: DeepERConfig, m: int, emb: np.ndarray | None = None,
+            fold: int = 0):
+    """The DeepER network ``cfg`` names, over ``m`` attributes and seeded
+    ``cfg.seed + fold``: AVG over precomputed cosine features, AVG that
+    trains the embedding matrix ``emb``, or the (Bi-)LSTM over ``emb``."""
+    kw = dict(hidden=cfg.hidden, lr=cfg.lr, epochs=cfg.epochs,
+              batch=cfg.batch, seed=cfg.seed + fold)
+    if cfg.composition != "avg":
+        return LSTMDeepER(m, emb, bidirectional=cfg.composition == "bilstm",
+                          lstm_dim=cfg.lstm_dim, **kw)
+    if cfg.update_embeddings:
+        return AvgDeepEREndToEnd(m, emb, **kw)
+    return AvgDeepER(m, **kw)
+
+
 def _deeper_cv(ds: ERDataset, cfg: DeepERConfig, prep: Prepared):
     (ia, ib), y = prep.ij.T, prep.y
-    m, d = len(ds.attributes), cfg.d
-
+    m = len(ds.attributes)
+    emb = None
     if cfg.composition == "avg" and not cfg.update_embeddings:
-        X = per_attribute_cosine(prep.vec_a[ia], prep.vec_b[ib], m, d)
-
-        def factory(fold):
-            return AvgDeepER(m, hidden=cfg.hidden, lr=cfg.lr,
-                             epochs=cfg.epochs, batch=cfg.batch,
-                             seed=cfg.seed + fold)
-
-        def fit_predict(model, tr, te):
-            model.fit(X[tr], y[tr])
-            return (model.predict_proba(X[te]) >= 0.5).astype(float)
-
-        return _cv(y, factory, fit_predict, cfg)
-
-    # trainable paths need token-id tensors
-    vocab = vocabulary(ds)
-    index, emb = prep.dictionary.as_matrix(vocab, extra=prep.extra)
-    tok_a, msk_a = compose.encode_attr_tokens(ds.table_a, ds.attributes,
-                                              index, cfg.max_tokens)
-    tok_b, msk_b = compose.encode_attr_tokens(ds.table_b, ds.attributes,
-                                              index, cfg.max_tokens)
-    pa, pmska = tok_a[ia], msk_a[ia]
-    pb, pmskb = tok_b[ib], msk_b[ib]
-
-    if cfg.composition == "avg":  # update_embeddings=True
-        def factory(fold):
-            return AvgDeepEREndToEnd(m, emb, hidden=cfg.hidden, lr=cfg.lr,
-                                     epochs=cfg.epochs, batch=cfg.batch,
-                                     seed=cfg.seed + fold)
-    else:  # lstm | bilstm
-        def factory(fold):
-            return LSTMDeepER(m, emb,
-                              bidirectional=cfg.composition == "bilstm",
-                              lstm_dim=cfg.lstm_dim, hidden=cfg.hidden,
-                              lr=cfg.lr, epochs=cfg.epochs, batch=cfg.batch,
-                              seed=cfg.seed + fold)
+        inputs = (per_attribute_cosine(prep.vec_a[ia], prep.vec_b[ib], m,
+                                       cfg.d),)
+    else:  # the trainable networks read token-id tensors
+        index, emb = prep.dictionary.as_matrix(vocabulary(ds),
+                                               extra=prep.extra)
+        (tok_a, msk_a), (tok_b, msk_b) = (
+            compose.encode_attr_tokens(t, ds.attributes, index,
+                                       cfg.max_tokens)
+            for t in (ds.table_a, ds.table_b))
+        inputs = (tok_a[ia], msk_a[ia], tok_b[ib], msk_b[ib])
 
     def fit_predict(model, tr, te):
-        model.fit(pa[tr], pmska[tr], pb[tr], pmskb[tr], y[tr])
-        proba = model.predict_proba(pa[te], pmska[te], pb[te], pmskb[te])
+        model.fit(*(a[tr] for a in inputs), y[tr])
+        proba = model.predict_proba(*(a[te] for a in inputs))
         return (proba >= 0.5).astype(float)
 
-    return _cv(y, factory, fit_predict, cfg)
+    return _cv(y, partial(network, cfg, m, emb), fit_predict, cfg)
 
 
 def _magellan_cv(ds: ERDataset, cfg: DeepERConfig, prep: Prepared):

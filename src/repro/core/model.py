@@ -1,7 +1,9 @@
-"""The DeepER networks of Figure 5.
+"""The DeepER network of Figure 5.
 
-Three trainable models share the architecture *embedding lookup →
-composition → similarity → dense → classification*:
+*Embedding lookup → composition → similarity → dense → classification* is
+one network: ``_DeepER`` owns everything from the similarity vector up
+(the dense and sigmoid layers, the training loop, scoring), and the three
+models differ only in the similarity layer below it:
 
 - :class:`AvgDeepER` — static embeddings, AVG composition. The similarity
   vector (per-attribute cosine, ``m`` dims) is precomputed, so the model is
@@ -56,113 +58,136 @@ def _cosine_bwd(dcos: np.ndarray, cache):
     return du, dv
 
 
-class AvgDeepER:
-    """Dense head over precomputed per-attribute cosine features."""
+class _DeepER:
+    """Figure 5 from the similarity vector up: the dense (tanh) and
+    classification (sigmoid) layers, their training loop, and scoring.
 
-    def __init__(self, m: int, *, hidden: int = 24, lr: float = 0.01,
-                 epochs: int = 20, batch: int = 16, seed: int = 0):
-        rng = np.random.default_rng(seed)
-        self.dense = Dense(m, hidden, activation="tanh", rng=rng)
-        self.clf = Dense(hidden, 1, activation="sigmoid", rng=rng)
-        self.loop = TrainLoop([self.dense, self.clf], lr=lr, epochs=epochs,
-                              batch=batch, rng=np.random.default_rng(seed))
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "AvgDeepER":
-        def forward(idx):
-            return self.clf.forward(self.dense.forward(X[idx]))[:, 0]
-
-        def backward(idx, dp):
-            self.dense.backward(self.clf.backward(dp[:, None]))
-
-        self.loop.run(len(X), forward, backward, y)
-        return self
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self.clf(self.dense(X))[:, 0]
-
-
-class AvgDeepEREndToEnd:
-    """AVG composition with a trainable embedding layer (§3.4).
-
-    Inputs are token-id tensors ``(n, m, T)`` + masks for both tuple sides;
-    gradients flow through cosine and averaging into the embedding matrix
-    (updated at its own rate, the paper's "embeddings update rate 0.01").
+    A subclass is its similarity layer. ``_similarity(idx, data, state)``
+    returns the ``(B, width)`` similarity vectors of the pairs ``idx`` of
+    ``data``, the input arrays that ``fit`` and ``predict_proba`` take.
+    ``_similarity_backward(idx, data, dsim, state)`` carries their gradient
+    below the similarity vector. Training passes a ``state`` dict that lives
+    only as long as ``fit``: the similarity layer keeps what its backward
+    pass needs there, and without it nothing is cached, so a fitted model
+    holds no batch and no scored block. ``_block`` pairs are scored at a
+    time (``None``: all at once).
     """
 
-    def __init__(self, m: int, emb_matrix: np.ndarray, *, hidden: int = 24,
-                 lr: float = 0.01, emb_lr: float = 0.01, epochs: int = 20,
-                 batch: int = 16, seed: int = 0):
-        rng = np.random.default_rng(seed)
-        self.m = m
-        self.emb = _Embedding(emb_matrix)
-        self.dense = Dense(m, hidden, activation="tanh", rng=rng)
+    _block: int | None = None
+
+    def __init__(self, width: int, rng: np.random.Generator, encoder, *,
+                 hidden: int, lr: float, epochs: int, batch: int, seed: int):
+        self.dense = Dense(width, hidden, activation="tanh", rng=rng)
         self.clf = Dense(hidden, 1, activation="sigmoid", rng=rng)
-        self.loop = TrainLoop([self.dense, self.clf], lr=lr, epochs=epochs,
-                              batch=batch, rng=np.random.default_rng(seed))
-        self.emb_opt = Adam([self.emb], lr=emb_lr, weight_decay=0.0)
+        self.loop = TrainLoop([*encoder, self.dense, self.clf], lr=lr,
+                              epochs=epochs, batch=batch,
+                              rng=np.random.default_rng(seed))
 
-    # -- batched forward/backward ------------------------------------------
-    def _features(self, idx, data, with_cache=False):
-        ids_a, mask_a, ids_b, mask_b = data
-        E = self.emb.params["E"]
-        B = len(idx)
-        X = np.empty((B, self.m))
-        caches = []
-        for j in range(self.m):
-            u, cu = _masked_mean(E, ids_a[idx, j], mask_a[idx, j])
-            v, cv = _masked_mean(E, ids_b[idx, j], mask_b[idx, j])
-            cos, cc = _cosine_fwd(u, v)
-            X[:, j] = cos
-            if with_cache:
-                caches.append((cc, cu, cv))
-        return X, caches
+    def _similarity_backward(self, idx, data, dsim, state) -> None:
+        """Nothing below a precomputed similarity vector trains."""
 
-    def fit(self, ids_a, mask_a, ids_b, mask_b, y) -> "AvgDeepEREndToEnd":
-        data = (ids_a, mask_a, ids_b, mask_b)
+    def fit(self, *data_y):
+        """Train on the input arrays followed by the 0/1 labels ``y``."""
+        *data, y = data_y
         state = {}
 
         def forward(idx):
-            X, caches = self._features(idx, data, with_cache=True)
-            state["X"], state["caches"] = X, caches
-            return self.clf.forward(self.dense.forward(X))[:, 0]
+            sim = self._similarity(idx, data, state)
+            return self.clf.forward(self.dense.forward(sim))[:, 0]
 
         def backward(idx, dp):
-            dX = self.dense.backward(self.clf.backward(dp[:, None]))
-            self.emb.zero_grad()
-            dE = self.emb.grads["E"]
-            for j in range(self.m):
-                cc, cu, cv = state["caches"][j]
-                du, dv = _cosine_bwd(dX[:, j], cc)
-                # scatter mean-gradients back to the embedding rows
-                ga = (du / cu)[:, None, :] * mask_a[idx, j][:, :, None]
-                gb = (dv / cv)[:, None, :] * mask_b[idx, j][:, :, None]
-                np.add.at(dE, ids_a[idx, j].ravel(),
-                          ga.reshape(-1, dE.shape[1]))
-                np.add.at(dE, ids_b[idx, j].ravel(),
-                          gb.reshape(-1, dE.shape[1]))
-            dE[0, :] = 0.0  # UNK stays fixed
-            self.emb_opt.step()
+            dsim = self.dense.backward(self.clf.backward(dp[:, None]))
+            self._similarity_backward(idx, data, dsim, state)
 
         self.loop.run(len(y), forward, backward, y)
         return self
 
-    def predict_proba(self, ids_a, mask_a, ids_b, mask_b) -> np.ndarray:
-        data = (ids_a, mask_a, ids_b, mask_b)
-        out = []
-        for s in range(0, len(ids_a), 512):
-            idx = np.arange(s, min(s + 512, len(ids_a)))
-            X, _ = self._features(idx, data)
-            out.append(self.clf(self.dense(X))[:, 0])
-        return np.concatenate(out)
+    def predict_proba(self, *data) -> np.ndarray:
+        """Match probability of every pair in ``data``, caching nothing."""
+        n = len(data[0])
+        block = self._block or max(n, 1)
+        out = np.empty(n)
+        for s in range(0, n, block):
+            idx = slice(s, s + block)
+            out[idx] = self.clf(self.dense(self._similarity(idx, data)))[:, 0]
+        return out
 
 
-class LSTMDeepER:
-    """Shared (Bi-)LSTM composition + abs-difference similarity (§2.3).
+class AvgDeepER(_DeepER):
+    """The head over precomputed per-attribute cosine features:
+    ``fit(X, y)``, ``predict_proba(X)`` with ``X`` of shape ``(n, m)``."""
+
+    def __init__(self, m: int, *, hidden: int = 24, lr: float = 0.01,
+                 epochs: int = 20, batch: int = 16, seed: int = 0):
+        super().__init__(m, np.random.default_rng(seed), [], hidden=hidden,
+                         lr=lr, epochs=epochs, batch=batch, seed=seed)
+
+    def _similarity(self, idx, data, state=None):
+        return data[0][idx]
+
+
+class AvgDeepEREndToEnd(_DeepER):
+    """AVG composition with a trainable embedding layer (§3.4).
+
+    Inputs are token-id tensors ``(n, m, T)`` + masks for both tuple sides,
+    ``fit(ids_a, mask_a, ids_b, mask_b, y)``; gradients flow through cosine
+    and averaging into the embedding matrix (updated at its own rate, the
+    paper's "embeddings update rate 0.01").
+    """
+
+    _block = 512
+
+    def __init__(self, m: int, emb_matrix: np.ndarray, *, hidden: int = 24,
+                 lr: float = 0.01, emb_lr: float = 0.01, epochs: int = 20,
+                 batch: int = 16, seed: int = 0):
+        self.m = m
+        self.emb = _Embedding(emb_matrix)
+        super().__init__(m, np.random.default_rng(seed), [], hidden=hidden,
+                         lr=lr, epochs=epochs, batch=batch, seed=seed)
+        self.emb_opt = Adam([self.emb], lr=emb_lr, weight_decay=0.0)
+
+    def _similarity(self, idx, data, state=None):
+        """Per attribute, the cosine of the two sides' masked token means."""
+        ids_a, mask_a, ids_b, mask_b = data
+        E = self.emb.params["E"]
+        cols = []
+        if state is not None:
+            state["caches"] = []
+        for j in range(self.m):
+            u, cu = _masked_mean(E, ids_a[idx, j], mask_a[idx, j])
+            v, cv = _masked_mean(E, ids_b[idx, j], mask_b[idx, j])
+            cos, cc = _cosine_fwd(u, v)
+            cols.append(cos)
+            if state is not None:
+                state["caches"].append((cc, cu, cv))
+        return np.column_stack(cols)
+
+    def _similarity_backward(self, idx, data, dsim, state) -> None:
+        """Scatter the mean-gradients into the embedding rows, then take one
+        embedding Adam step."""
+        ids_a, mask_a, ids_b, mask_b = data
+        self.emb.zero_grad()
+        dE = self.emb.grads["E"]
+        for j, (cc, cu, cv) in enumerate(state["caches"]):
+            du, dv = _cosine_bwd(dsim[:, j], cc)
+            ga = (du / cu)[:, None, :] * mask_a[idx, j][:, :, None]
+            gb = (dv / cv)[:, None, :] * mask_b[idx, j][:, :, None]
+            np.add.at(dE, ids_a[idx, j].ravel(), ga.reshape(-1, dE.shape[1]))
+            np.add.at(dE, ids_b[idx, j].ravel(), gb.reshape(-1, dE.shape[1]))
+        dE[0, :] = 0.0  # UNK stays fixed
+        self.emb_opt.step()
+
+
+class LSTMDeepER(_DeepER):
+    """Shared (Bi-)LSTM composition + abs-difference similarity (§2.3),
+    over the same inputs as :class:`AvgDeepEREndToEnd`.
 
     All ``2*m*B`` attribute sequences of a batch are encoded in one LSTM
     call (the network is *shared* across attributes per the paper), so BPTT
     runs once per step.
     """
+
+    _block = 256
 
     def __init__(self, m: int, emb_matrix: np.ndarray, *,
                  bidirectional: bool = False, lstm_dim: int = 24,
@@ -174,78 +199,38 @@ class LSTMDeepER:
         d = self.E.shape[1]
         if bidirectional:
             self.enc = BiLSTM(d, lstm_dim, rng=rng)
-            out_dim = 2 * lstm_dim
-            enc_modules = self.enc.modules
+            self.out_dim = 2 * lstm_dim
+            encoder = self.enc.modules
         else:
             self.enc = LSTM(d, lstm_dim, rng=rng)
-            out_dim = lstm_dim
-            enc_modules = [self.enc]
-        self.out_dim = out_dim
-        self.dense = Dense(m * out_dim, hidden, activation="tanh", rng=rng)
-        self.clf = Dense(hidden, 1, activation="sigmoid", rng=rng)
-        self.loop = TrainLoop(enc_modules + [self.dense, self.clf], lr=lr,
-                              epochs=epochs, batch=batch,
-                              rng=np.random.default_rng(seed))
+            self.out_dim = lstm_dim
+            encoder = [self.enc]
+        super().__init__(m * self.out_dim, rng, encoder, hidden=hidden, lr=lr,
+                         epochs=epochs, batch=batch, seed=seed)
 
-    def _stack(self, idx, ids, mask):
+    def _stack(self, ids, mask):
         """(B,m,T) -> (m*B, T, d) sequence batch + (m*B, T) mask."""
-        sel_ids = ids[idx]        # (B, m, T)
-        sel_mask = mask[idx]
-        B, m, T = sel_ids.shape
-        seq = self.E[sel_ids.transpose(1, 0, 2).reshape(m * B, T)]
-        return seq, sel_mask.transpose(1, 0, 2).reshape(m * B, T)
+        B, m, T = ids.shape
+        return (self.E[ids.transpose(1, 0, 2).reshape(m * B, T)],
+                mask.transpose(1, 0, 2).reshape(m * B, T))
 
-    def _forward(self, idx, data, state=None):
-        """Match probabilities of the pairs ``idx``. Training passes a
-        ``state`` dict: every layer then caches for ``backward``, and
-        ``state`` gets what the similarity's backward needs. Without it
-        nothing is cached, so a model keeps no scored block alive."""
-        if state is None:
-            enc, dense, clf = self.enc, self.dense, self.clf
-        else:
-            enc, dense, clf = (self.enc.forward, self.dense.forward,
-                               self.clf.forward)
+    def _similarity(self, idx, data, state=None):
+        """|h_a - h_b| per attribute, concatenated; ``state`` gets the sign
+        of the difference, and the encoder caches for BPTT."""
         ids_a, mask_a, ids_b, mask_b = data
-        seq_a, ma = self._stack(idx, ids_a, mask_a)
-        seq_b, mb = self._stack(idx, ids_b, mask_b)
-        seq = np.concatenate([seq_a, seq_b], axis=0)
-        msk = np.concatenate([ma, mb], axis=0)
-        h = enc(seq, msk)                         # (2mB, out)
-        B = len(idx)
-        ha = h[: self.m * B].reshape(self.m, B, self.out_dim)
-        hb = h[self.m * B:].reshape(self.m, B, self.out_dim)
+        seq_a, ma = self._stack(ids_a[idx], mask_a[idx])
+        seq_b, mb = self._stack(ids_b[idx], mask_b[idx])
+        enc = self.enc if state is None else self.enc.forward
+        h = enc(np.concatenate([seq_a, seq_b]), np.concatenate([ma, mb]))
+        ha, hb = h.reshape(2, self.m, -1, self.out_dim)  # (m, B, out) each
         diff = ha - hb
-        feat = np.abs(diff).transpose(1, 0, 2).reshape(B, -1)
         if state is not None:
             state["sign"] = np.sign(diff)
-            state["B"] = B
-        return clf(dense(feat))[:, 0]
+        return np.abs(diff).transpose(1, 0, 2).reshape(diff.shape[1], -1)
 
-    def fit(self, ids_a, mask_a, ids_b, mask_b, y) -> "LSTMDeepER":
-        data = (ids_a, mask_a, ids_b, mask_b)
-        state = {}
-
-        def forward(idx):
-            return self._forward(idx, data, state)
-
-        def backward(idx, dp):
-            dfeat = self.dense.backward(self.clf.backward(dp[:, None]))
-            B = state["B"]
-            ddiff = dfeat.reshape(B, self.m, self.out_dim).transpose(1, 0, 2)
-            ddiff = ddiff * state["sign"]
-            dh = np.concatenate([
-                ddiff.reshape(self.m * B, self.out_dim),
-                -ddiff.reshape(self.m * B, self.out_dim),
-            ], axis=0)
-            self.enc.backward(dh)
-
-        self.loop.run(len(y), forward, backward, y)
-        return self
-
-    def predict_proba(self, ids_a, mask_a, ids_b, mask_b) -> np.ndarray:
-        data = (ids_a, mask_a, ids_b, mask_b)
-        out = []
-        for s in range(0, len(ids_a), 256):
-            idx = np.arange(s, min(s + 256, len(ids_a)))
-            out.append(self._forward(idx, data))
-        return np.concatenate(out)
+    def _similarity_backward(self, idx, data, dsim, state) -> None:
+        sign = state["sign"]
+        m, B, k = sign.shape
+        ddiff = dsim.reshape(B, m, k).transpose(1, 0, 2) * sign
+        dh = ddiff.reshape(m * B, k)
+        self.enc.backward(np.concatenate([dh, -dh]))

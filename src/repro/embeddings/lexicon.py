@@ -328,13 +328,3 @@ def common_words() -> set[str]:
     out.update(SYNONYMS.keys())
     out.update(SYNONYMS.values())
     return out
-
-
-def full_vocabulary() -> set[str]:
-    """Every surface form the generators can emit (minus random IDs)."""
-    out = common_words()
-    for pool in (FIRST_NAMES, LAST_NAMES, VENUES, BRANDS, PRODUCT_UNITS):
-        out.update(pool)
-    out.update(NICKNAMES.keys())
-    out.update(ABBREV.keys())
-    return out

@@ -36,7 +36,7 @@ from repro.er_data.bio import load_bio
 from repro.er_data.translate import translate_dataset
 from repro.pipeline import resolve
 
-BASE_CFG = DeepERConfig(folds=3, neg_ratio=20, d=64, seed=0)
+BASE_CFG = DeepERConfig(folds=3, neg_ratio=20, seed=0)
 
 # Published numbers, transcribed from the paper ------------------------------
 PAPER_T3 = {  # (#tuples_a, #tuples_b, #matches, #attrs)

@@ -112,6 +112,11 @@ class LSTM:
         for g in self.grads.values():
             g[...] = 0.0
 
+    def __getstate__(self) -> dict:
+        # A pickled encoder carries its parameters, not the last training
+        # batch's BPTT steps.
+        return {**self.__dict__, "_cache": None}
+
 
 def _reverse_padded(X: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Reverse each row's valid prefix, keeping right-padding in place."""
@@ -161,3 +166,6 @@ class BiLSTM:
     def zero_grad(self) -> None:
         self.fwd.zero_grad()
         self.bwd.zero_grad()
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_mask": None}

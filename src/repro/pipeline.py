@@ -23,7 +23,7 @@ from repro.blocking import (
     multiprobe_topn_candidates,
 )
 from repro.core import compose
-from repro.core.deeper import DeepERConfig, _prepare
+from repro.core.deeper import DeepERConfig, _prepare, network
 from repro.core.model import AvgDeepER
 from repro.core.scoring import score_candidates_spark
 from repro.core.similarity import per_attribute_cosine
@@ -55,8 +55,8 @@ def _require_static_avg(cfg: DeepERConfig) -> None:
 
 
 def fit_matcher(ds: ERDataset, cfg: DeepERConfig) -> AvgDeepER:
-    """``AvgDeepER`` fitted on the whole §5.1 labeled pair set of ``ds``
-    (``_prepare``, then per-attribute cosine features).
+    """``AvgDeepER`` (``deeper.network``) fitted on the whole §5.1 labeled
+    pair set of ``ds`` (``_prepare``, then per-attribute cosine features).
 
     Raises ``ValueError`` for a ``cfg`` other than static AVG, and as
     ``_prepare`` does."""
@@ -65,8 +65,7 @@ def fit_matcher(ds: ERDataset, cfg: DeepERConfig) -> AvgDeepER:
     m = len(ds.attributes)
     X = per_attribute_cosine(prep.vec_a[prep.ij[:, 0]],
                              prep.vec_b[prep.ij[:, 1]], m, cfg.d)
-    return AvgDeepER(m, hidden=cfg.hidden, lr=cfg.lr, epochs=cfg.epochs,
-                     batch=cfg.batch, seed=cfg.seed).fit(X, prep.y)
+    return network(cfg, m).fit(X, prep.y)
 
 
 def resolve(ds: ERDataset, planes: np.ndarray, cfg: DeepERConfig,

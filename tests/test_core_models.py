@@ -78,7 +78,7 @@ class TestLSTMDeepER:
         E, ia, ma, ib, mb, y = _toy_pair_tensors(n=8)
         model = LSTMDeepER(2, E, lstm_dim=6, hidden=8, epochs=1)
         state = {}
-        model._forward(np.arange(4), (ia, ma, ia, ma), state)
+        model._similarity(np.arange(4), (ia, ma, ia, ma), state)
         # sign(diff) of identical sides is all zeros
         assert np.all(state["sign"] == 0)
 

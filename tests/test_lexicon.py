@@ -73,13 +73,6 @@ class TestSpanish:
 
 
 class TestVocabularySets:
-    def test_common_subset_of_full(self):
-        assert lx.common_words() <= lx.full_vocabulary()
-
-    def test_full_vocabulary_contains_names_and_brands(self):
-        full = lx.full_vocabulary()
-        assert "william" in full and "samsung" in full and "sigmod" in full
-
     def test_common_excludes_proper_nouns(self):
         common = lx.common_words()
         assert "william" not in common and "samsung" not in common

@@ -3,6 +3,8 @@
 These are end-to-end sanity checks on toy tasks that exercise the same
 optimization loop DeepER uses (Adam, mini-batches, BCE).
 """
+import pickle
+
 import numpy as np
 import pytest
 
@@ -294,6 +296,39 @@ def test_lstm_predict_proba_keeps_no_scored_block(bidirectional):
     assert all(c is not None for c in trained)
     assert all(l._cache is c for l, c in zip(layers, trained))
     assert getattr(model.enc, "_mask", None) is mask
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_pickled_lstm_model_predicts_exactly_without_forward_cache(
+        bidirectional):
+    """A pickled LSTM model carries its parameters, not the encoder's BPTT
+    cache of the last training batch."""
+    data = _token_data(np.random.default_rng(4))
+    emb = np.random.default_rng(5).normal(size=(20, 5))
+    model = LSTMDeepER(2, emb, bidirectional=bidirectional, lstm_dim=4,
+                       hidden=6, epochs=1, batch=8).fit(*data)
+    got = pickle.loads(pickle.dumps(model))
+    modules = got.enc.modules if bidirectional else [got.enc]
+    assert all(m._cache is None for m in modules)
+    assert getattr(got.enc, "_mask", None) is None
+    assert np.array_equal(got.predict_proba(*data[:4]),
+                          model.predict_proba(*data[:4]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda emb: AvgDeepER(4, epochs=1),
+    lambda emb: AvgDeepEREndToEnd(2, emb, epochs=1),
+    lambda emb: LSTMDeepER(2, emb, lstm_dim=4, epochs=1),
+    lambda emb: LSTMDeepER(2, emb, bidirectional=True, lstm_dim=4, epochs=1),
+], ids=["avg", "end_to_end", "lstm", "bilstm"])
+def test_predict_proba_of_no_pairs_is_empty(build):
+    """A CV fold can have an empty test set: every model scores it."""
+    ids, mask = np.zeros((0, 2, 4), np.int64), np.zeros((0, 2, 4))
+    emb = np.random.default_rng(5).normal(size=(20, 5))
+    model = build(emb)
+    data = (np.empty((0, 4)),) if isinstance(model, AvgDeepER) else (
+        ids, mask, ids, mask)
+    assert model.predict_proba(*data).shape == (0,)
 
 
 @pytest.mark.parametrize("cls", [LSTM, BiLSTM])
