@@ -1,12 +1,4 @@
 """Classical (symbolic) ER baseline — the Magellan comparator of Table 4."""
 from repro.baselines.magellan_lite import MagellanLite
-from repro.baselines.simfns import (
-    exact_match,
-    jaccard_tokens,
-    jaccard_trigrams,
-    levenshtein_sim,
-    numeric_sim,
-)
 
-__all__ = ["MagellanLite", "jaccard_tokens", "jaccard_trigrams",
-           "levenshtein_sim", "exact_match", "numeric_sim"]
+__all__ = ["MagellanLite"]

@@ -15,6 +15,9 @@ import pandas as pd
 from repro.baselines import simfns
 from repro.nn import Dense, TrainLoop
 
+LR = 0.05
+THRESHOLD = 0.5  # a pair matches when its probability is at least this
+
 
 def featurize_pairs(table_a: pd.DataFrame, table_b: pd.DataFrame,
                     attrs: list[str], ij: np.ndarray) -> np.ndarray:
@@ -39,11 +42,11 @@ def featurize_pairs(table_a: pd.DataFrame, table_b: pd.DataFrame,
 class MagellanLite:
     """Logistic-regression matcher over symbolic similarity features."""
 
-    def __init__(self, n_features: int, *, lr: float = 0.05,
-                 epochs: int = 30, batch: int = 64, seed: int = 0):
+    def __init__(self, n_features: int, *, epochs: int = 30, batch: int = 64,
+                 seed: int = 0):
         rng = np.random.default_rng(seed)
         self.clf = Dense(n_features, 1, activation="sigmoid", rng=rng)
-        self.loop = TrainLoop([self.clf], lr=lr, epochs=epochs, batch=batch,
+        self.loop = TrainLoop([self.clf], lr=LR, epochs=epochs, batch=batch,
                               rng=rng, weight_decay=1e-4)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "MagellanLite":
@@ -59,5 +62,5 @@ class MagellanLite:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return self.clf(X)[:, 0]
 
-    def predict(self, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-        return (self.predict_proba(X) >= threshold).astype(float)
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return (self.predict_proba(X) >= THRESHOLD).astype(float)

@@ -8,8 +8,7 @@ edit-distance similarity, exact match, relative numeric difference).
 ``pair_features`` computes all five for a batch of cell pairs: each cell is
 normalised once, each distinct normalised value is tokenized and parsed once,
 every feature is computed once per distinct pair of values, and the edit
-distances of all pairs come from one vectorised DP. The scalar functions are
-one-pair calls of the same code.
+distances of all pairs come from one vectorised DP.
 """
 from __future__ import annotations
 
@@ -28,7 +27,7 @@ def _norm(value) -> str:
 
 def _first_number(tokens: list[str]) -> float:
     """The first token that parses as a float; NaN if none does (NaN and a
-    missing number both give ``numeric_sim`` 0)."""
+    missing number both give ``_numeric_sim`` 0)."""
     for t in tokens:
         try:
             return float(t)
@@ -134,8 +133,9 @@ def _codepoints(strings: list[str], width: int) -> np.ndarray:
 
 
 def levenshtein_batch(sa: list[str], sb: list[str]) -> np.ndarray:
-    """Exact edit distances ``d[k] = levenshtein(sa[k], sb[k])`` from one
-    DP vectorised across pairs (strings pre-capped by the caller).
+    """Exact edit distances ``d[k]`` of the strings ``sa[k]`` and ``sb[k]``
+    as given, from one DP vectorised across pairs (strings pre-capped by
+    the caller).
 
     Row ``i`` of every pair's DP table is computed at once: substitution and
     deletion from row ``i - 1``, then insertion as a running minimum of
@@ -210,34 +210,3 @@ def pair_features(cells_a, cells_b, ia: np.ndarray,
                                     v.codes[len(cells_a):][ib])
     cols = [fn(v, ca, cb) for fn in PAIR_FEATURES]
     return np.stack(cols, axis=1)[inverse]
-
-
-def _one(feature, a, b) -> float:
-    """``feature`` of the single cell pair ``(a, b)``."""
-    v = _Values([a, b])
-    return float(feature(v, v.codes[:1], v.codes[1:])[0])
-
-
-def jaccard_tokens(a, b) -> float:
-    return _one(_jaccard_tokens, a, b)
-
-
-def jaccard_trigrams(a, b) -> float:
-    return _one(_jaccard_trigrams, a, b)
-
-
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance of two strings as given (no normalisation, no cap)."""
-    return int(levenshtein_batch([a], [b])[0])
-
-
-def levenshtein_sim(a, b) -> float:
-    return _one(_levenshtein_sim, a, b)
-
-
-def exact_match(a, b) -> float:
-    return _one(_exact_match, a, b)
-
-
-def numeric_sim(a, b) -> float:
-    return _one(_numeric_sim, a, b)

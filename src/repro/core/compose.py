@@ -29,6 +29,14 @@ def _tokenize_cells(table: pd.DataFrame, attrs: list[str]):
     return [tokenize(v) for attr in attrs for v in table[attr].tolist()]
 
 
+def tuple_tokens(table: pd.DataFrame, attrs: list[str]) -> list[list[str]]:
+    """Token list of every tuple: its cells' tokens in ``attrs`` order (the
+    retrofitting corpus, §3.2, and the trainable networks' vocabulary)."""
+    n, cells = len(table), _tokenize_cells(table, attrs)
+    return [[t for j in range(len(attrs)) for t in cells[j * n + i]]
+            for i in range(n)]
+
+
 def _encode(cells: list[list[str]], index: dict[str, int]):
     """Ragged token ids of tokenized cells: ``(ids, lens)``.
 

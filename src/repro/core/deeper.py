@@ -33,23 +33,23 @@ from repro.core.pairs import f1_score, kfold_indices, sample_pairs
 from repro.core.similarity import per_attribute_cosine
 from repro.embeddings.pretrained import FACTORIES, SyntheticEmbeddings
 from repro.embeddings.retrofit import retrofit_vocabulary
-from repro.er_data.datasets import ERDataset, tuple_token_lists, vocabulary
+from repro.er_data.datasets import ERDataset
 
 
 @dataclass(frozen=True)
 class DeepERConfig:
     """Paper defaults (§5.1), with sizes scaled per DESIGN.md §5.
 
-    Raises ``ValueError`` for a composition with no model, and for
+    Raises ``ValueError`` for a composition with no model, for
     ``update_embeddings`` with an LSTM composition (only the AVG model
-    trains its embeddings)."""
+    trains its embeddings), and for ``folds < 2`` or ``epochs < 1``, which
+    would score an untrained model."""
 
     composition: str = "avg"        # avg | lstm | bilstm
     dictionary: str = "glove840"
     d: int = 64                     # paper: 300
     update_embeddings: bool = False  # Figure 8 "Update"
     use_retrofit: bool = False      # §3.2 vocabulary retrofitting
-    lstm_dim: int = 24              # paper: 150
     hidden: int = 24                # paper similarity layer: 50
     epochs: int = 20
     batch: int = 16
@@ -57,7 +57,6 @@ class DeepERConfig:
     neg_ratio: int = 10             # paper: 1:100 (Table 4) / 1:4 (§5.3)
     folds: int = 3                  # paper: 5
     seed: int = 0
-    max_tokens: int = 18
 
     def __post_init__(self):
         if self.composition not in ("avg", "lstm", "bilstm"):
@@ -66,6 +65,10 @@ class DeepERConfig:
             raise ValueError("update_embeddings=True needs composition='avg'; "
                              f"the {self.composition} model keeps its "
                              "embeddings static")
+        if self.folds < 2:
+            raise ValueError(f"folds must be >= 2, got {self.folds}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
 class Prepared(NamedTuple):
@@ -80,6 +83,12 @@ class Prepared(NamedTuple):
     y: np.ndarray
 
 
+def _tuple_tokens(ds: ERDataset) -> list[list[str]]:
+    """The token list of every tuple of A, then of B."""
+    return [toks for t in (ds.table_a, ds.table_b)
+            for toks in compose.tuple_tokens(t, ds.attributes)]
+
+
 def _prepare(ds: ERDataset, cfg: DeepERConfig) -> Prepared:
     """Dictionary (+retrofit), driver-side tuple DRs, and the pair set.
 
@@ -88,7 +97,7 @@ def _prepare(ds: ERDataset, cfg: DeepERConfig) -> Prepared:
     dictionary = FACTORIES[cfg.dictionary](cfg.d)
     extra = None
     if cfg.use_retrofit:
-        extra = retrofit_vocabulary(tuple_token_lists(ds), dictionary)
+        extra = retrofit_vocabulary(_tuple_tokens(ds), dictionary)
     vec_a = compose.avg_tuple_matrix(ds.table_a, ds.attributes,
                                      dictionary, extra)
     vec_b = compose.avg_tuple_matrix(ds.table_b, ds.attributes,
@@ -168,7 +177,7 @@ def network(cfg: DeepERConfig, m: int, emb: np.ndarray | None = None,
               batch=cfg.batch, seed=cfg.seed + fold)
     if cfg.composition != "avg":
         return LSTMDeepER(m, emb, bidirectional=cfg.composition == "bilstm",
-                          lstm_dim=cfg.lstm_dim, **kw)
+                          **kw)
     if cfg.update_embeddings:
         return AvgDeepEREndToEnd(m, emb, **kw)
     return AvgDeepER(m, **kw)
@@ -182,11 +191,10 @@ def _deeper_cv(ds: ERDataset, cfg: DeepERConfig, prep: Prepared):
         inputs = (per_attribute_cosine(prep.vec_a[ia], prep.vec_b[ib], m,
                                        cfg.d),)
     else:  # the trainable networks read token-id tensors
-        index, emb = prep.dictionary.as_matrix(vocabulary(ds),
-                                               extra=prep.extra)
+        index, emb = prep.dictionary.as_matrix(
+            {w for toks in _tuple_tokens(ds) for w in toks}, extra=prep.extra)
         (tok_a, msk_a), (tok_b, msk_b) = (
-            compose.encode_attr_tokens(t, ds.attributes, index,
-                                       cfg.max_tokens)
+            compose.encode_attr_tokens(t, ds.attributes, index)
             for t in (ds.table_a, ds.table_b))
         inputs = (tok_a[ia], msk_a[ia], tok_b[ib], msk_b[ib])
 

@@ -23,6 +23,7 @@ import numpy as np
 from repro.nn import Adam, BiLSTM, Dense, LSTM, TrainLoop
 
 _EPS = 1e-12
+EMB_LR = 0.01  # the paper's embedding update rate (§5.1)
 
 
 class _Embedding:
@@ -131,20 +132,20 @@ class AvgDeepEREndToEnd(_DeepER):
 
     Inputs are token-id tensors ``(n, m, T)`` + masks for both tuple sides,
     ``fit(ids_a, mask_a, ids_b, mask_b, y)``; gradients flow through cosine
-    and averaging into the embedding matrix (updated at its own rate, the
-    paper's "embeddings update rate 0.01").
+    and averaging into the embedding matrix (updated at its own rate
+    ``EMB_LR``, the paper's "embeddings update rate 0.01").
     """
 
     _block = 512
 
     def __init__(self, m: int, emb_matrix: np.ndarray, *, hidden: int = 24,
-                 lr: float = 0.01, emb_lr: float = 0.01, epochs: int = 20,
-                 batch: int = 16, seed: int = 0):
+                 lr: float = 0.01, epochs: int = 20, batch: int = 16,
+                 seed: int = 0):
         self.m = m
         self.emb = _Embedding(emb_matrix)
         super().__init__(m, np.random.default_rng(seed), [], hidden=hidden,
                          lr=lr, epochs=epochs, batch=batch, seed=seed)
-        self.emb_opt = Adam([self.emb], lr=emb_lr, weight_decay=0.0)
+        self.emb_opt = Adam([self.emb], lr=EMB_LR, weight_decay=0.0)
 
     def _similarity(self, idx, data, state=None):
         """Per attribute, the cosine of the two sides' masked token means."""
@@ -190,7 +191,8 @@ class LSTMDeepER(_DeepER):
     _block = 256
 
     def __init__(self, m: int, emb_matrix: np.ndarray, *,
-                 bidirectional: bool = False, lstm_dim: int = 24,
+                 bidirectional: bool = False,
+                 lstm_dim: int = 24,  # paper: 150
                  hidden: int = 24, lr: float = 0.01, epochs: int = 20,
                  batch: int = 16, seed: int = 0):
         rng = np.random.default_rng(seed)

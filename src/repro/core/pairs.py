@@ -76,17 +76,15 @@ def sample_pairs(ds: ERDataset, vec_a: np.ndarray, vec_b: np.ndarray,
     return pairs, np.asarray(labels), threshold
 
 
-def kfold_indices(n: int, folds: int, seed: int = 0,
-                  labels: np.ndarray | None = None):
-    """Stratified K-fold index splits ``[(train_idx, test_idx), ...]``.
+def kfold_indices(n: int, folds: int, *, labels: np.ndarray, seed: int = 0):
+    """Stratified K-fold index splits ``[(train_idx, test_idx), ...]`` of
+    the ``n`` items labeled ``labels``.
 
     Stratification keeps the positive rate of each fold equal — with a
     1:10+ class ratio an unstratified small fold can end up with almost no
     positives, making fold F1 meaningless.
     """
     rng = np.random.default_rng(seed)
-    if labels is None:
-        labels = np.zeros(n)
     splits = [[] for _ in range(folds)]
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)

@@ -60,7 +60,8 @@ class SyntheticEmbeddings:
     Parameters
     ----------
     name: model family label ("glove840", ...), only for display.
-    d: embedding dimension (paper: 300; scaled to 32 here).
+    d: embedding dimension (paper: 300; the tables run at 64, and the
+        factories default to 32).
     seed: model-family salt — different families give unrelated geometries
         for the same word, like truly independent trainings.
     char_weight: weight of the char-trigram component (fastText-like models
@@ -71,26 +72,19 @@ class SyntheticEmbeddings:
     """
 
     def __init__(self, name: str, *, d: int = 32, seed: int = 42,
-                 char_weight: float = 0.35, common_weight: float = 0.0,
+                 char_weight: float = 0.35,
                  covers: Callable[[str], bool] | None = None,
                  concept: dict[str, str] | None = None):
         self.name = name
         self.d = d
         self.seed = seed
         self.char_weight = char_weight
-        self.common_weight = common_weight
         self._covers = covers
         self._concept = lexicon.concept_map() if concept is None else concept
         self._cache: dict[str, np.ndarray | None] = {}
         # Trigrams recur across words ("<pr" in every "pr..." word), so
         # their hash vectors are drawn once per instance.
         self._tri_cache: dict[str, np.ndarray] = {}
-        # Real embedding spaces are anisotropic: all word vectors share a
-        # large common direction, so the cosine between ANY two words (and
-        # between UNK and anything) is a stable positive constant, not
-        # zero-mean noise. common_weight reproduces that.
-        mu = _hash_vec("<common-direction>", self.seed, self.d)
-        self._mu = mu / np.linalg.norm(mu)
         # UNK is the zero vector: an OOV token contributes nothing to an
         # averaged attribute vector, and a NULL attribute yields exactly
         # zero cosine against anything — a *neutral* feature value rather
@@ -129,12 +123,10 @@ class SyntheticEmbeddings:
         tv = np.mean([self._trigram_vector(t) for t in tri], axis=0)
         tv /= np.linalg.norm(tv)
         # sqrt-weights over unit components: squared weights are the cosine
-        # contributions — cos(same concept, diff surface) ~=
-        # (1-cw)(1-g)+g, cos(unrelated) ~= g, cos(typo) ~= cw(1-g)+g.
-        g, cw = self.common_weight, self.char_weight
-        v = (np.sqrt((1.0 - cw) * (1.0 - g)) * cv
-             + np.sqrt(cw * (1.0 - g)) * tv
-             + np.sqrt(g) * self._mu)
+        # contributions — cos(same concept, diff surface) ~= 1-cw,
+        # cos(unrelated) ~= 0, cos(typo) ~= cw.
+        cw = self.char_weight
+        v = np.sqrt(1.0 - cw) * cv + np.sqrt(cw) * tv
         n = np.linalg.norm(v)
         return v / n if n > 0 else v
 
@@ -159,16 +151,14 @@ class SyntheticEmbeddings:
     def unk_vector(self) -> np.ndarray:
         return self._unk
 
-    def coverage(self, words: Iterable[str]) -> float:
-        ws = list(words)
-        if not ws:
-            return 1.0
-        return sum(w in self for w in ws) / len(ws)
-
     def as_matrix(self, vocab: Iterable[str],
                   extra: dict[str, np.ndarray] | None = None):
         """Materialize ``(word -> row, matrix)`` for a trainable embedding
-        layer (end-to-end fine-tuning, §3.4). Row 0 is UNK."""
+        layer (end-to-end fine-tuning, §3.4). Row 0 is UNK.
+
+        ``extra`` is read only for words the dictionary lacks: an
+        in-vocabulary word's row is always its dictionary vector, so a
+        retrofitted in-vocabulary vector in ``extra`` changes nothing."""
         words = sorted(set(vocab))
         index = {UNK: 0}
         mat = [self._unk]

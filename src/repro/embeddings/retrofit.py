@@ -8,9 +8,11 @@ neighbours:
 
     q_i <- (beta_i * q̂_i + sum_j alpha_ij * q_j) / (beta_i + sum_j alpha_ij)
 
-This both *learns* vectors for unknown words (IDs, rare names) and *tunes*
-in-vocabulary words toward the dataset's own co-occurrence structure
-(the SIGMOD~Stonebraker example in the paper).
+This *learns* vectors for unknown words (IDs, rare names). It also tunes
+in-vocabulary words toward the dataset's own co-occurrence structure (the
+SIGMOD~Stonebraker example in the paper), but those tuned vectors only
+steer the OOV updates: ``SyntheticEmbeddings.as_matrix`` reads the returned
+vectors only for words the dictionary lacks.
 """
 from __future__ import annotations
 
@@ -21,15 +23,20 @@ import numpy as np
 
 from repro.embeddings.pretrained import SyntheticEmbeddings
 
+K_INIT = 5  # an OOV word starts as the mean of this many neighbours
+ITERS = 10
+BETA_INVOCAB = 1.0
+BETA_OOV = 0.1
+MAX_TOKENS_PER_TUPLE = 40  # distinct tokens of a tuple that get edges
 
-def build_cooccurrence(token_lists: Iterable[Sequence[str]],
-                       max_tokens_per_tuple: int = 40):
+
+def build_cooccurrence(token_lists: Iterable[Sequence[str]]):
     """Pairwise co-occurrence counts over tuples (each tuple = one context,
     per the paper's "connected if they co-occur in some tuple")."""
     edges: Counter = Counter()
     freq: Counter = Counter()
     for toks in token_lists:
-        toks = list(dict.fromkeys(toks))[:max_tokens_per_tuple]
+        toks = list(dict.fromkeys(toks))[:MAX_TOKENS_PER_TUPLE]
         freq.update(toks)
         for i in range(len(toks)):
             for j in range(i + 1, len(toks)):
@@ -41,15 +48,13 @@ def build_cooccurrence(token_lists: Iterable[Sequence[str]],
 
 
 def retrofit_vocabulary(token_lists: Iterable[Sequence[str]],
-                        dictionary: SyntheticEmbeddings, *,
-                        k_init: int = 5, iters: int = 10,
-                        beta_invocab: float = 1.0,
-                        beta_oov: float = 0.1) -> dict[str, np.ndarray]:
+                        dictionary: SyntheticEmbeddings
+                        ) -> dict[str, np.ndarray]:
     """Return retrofitted vectors for every word seen in ``token_lists``.
 
-    In-vocabulary words are anchored strongly (``beta_invocab``) so they move
-    only slightly; OOV words are anchored weakly to their co-occurrence
-    initialization and mostly follow their neighbours.
+    In-vocabulary words are anchored strongly (``BETA_INVOCAB``) so they
+    move only slightly; OOV words are anchored weakly (``BETA_OOV``) to
+    their co-occurrence initialization and mostly follow their neighbours.
     """
     token_lists = [list(t) for t in token_lists]
     edges, freq = build_cooccurrence(token_lists)
@@ -65,12 +70,12 @@ def retrofit_vocabulary(token_lists: Iterable[Sequence[str]],
     for w in words:
         v = dictionary.vector(w)
         is_oov[w] = v is None
-        base[w] = v if v is not None else _init_oov(w, nbrs, freq, dictionary, k_init)
+        base[w] = v if v is not None else _init_oov(w, nbrs, freq, dictionary)
 
     q = {w: base[w].copy() for w in words}
-    for _ in range(iters):
+    for _ in range(ITERS):
         for w in words:
-            beta = beta_oov if is_oov[w] else beta_invocab
+            beta = BETA_OOV if is_oov[w] else BETA_INVOCAB
             num = beta * base[w]
             den = beta
             # Neighbour weights are normalized to sum to 1 so the anchor
@@ -90,15 +95,15 @@ def retrofit_vocabulary(token_lists: Iterable[Sequence[str]],
     return q
 
 
-def _init_oov(word: str, nbrs, freq, dictionary: SyntheticEmbeddings,
-              k_init: int) -> np.ndarray:
+def _init_oov(word: str, nbrs, freq,
+              dictionary: SyntheticEmbeddings) -> np.ndarray:
     """Average of the top-K most frequent co-occurring in-vocab words."""
     ranked = sorted(
         ((cnt * freq[nb], nb) for nb, cnt in nbrs.get(word, [])
          if dictionary.vector(nb) is not None),
         reverse=True,
     )
-    vecs = [dictionary.vector(nb) for _, nb in ranked[:k_init]]
+    vecs = [dictionary.vector(nb) for _, nb in ranked[:K_INIT]]
     if not vecs:
         return dictionary.unk_vector.copy()
     return np.mean(vecs, axis=0)

@@ -12,7 +12,6 @@ from repro.er_data.datasets import (
     SPECS,
     load,
     to_spark,
-    vocabulary,
 )
 
 __all__ = [
@@ -26,5 +25,4 @@ __all__ = [
     "SPECS",
     "load",
     "to_spark",
-    "vocabulary",
 ]

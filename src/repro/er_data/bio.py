@@ -32,25 +32,29 @@ _DESC_WORDS = ["partial", "complete", "coding", "sequence", "mrna", "gene",
                "predicted", "putative", "hypothetical", "protein",
                "ribosomal", "mitochondrial", "genomic", "region", "locus"]
 
+SEQ_LEN = 80
+MUTATION_RATE = 0.12
+KMER, STRIDE = 8, 4  # a sequence is rendered as its 8-mers at every 4th base
 
-def _kmers(seq: str, k: int = 8, stride: int = 4) -> str:
-    return " ".join(seq[i:i + k] for i in range(0, len(seq) - k + 1, stride))
+
+def _kmers(seq: str) -> str:
+    return " ".join(seq[i:i + KMER]
+                    for i in range(0, len(seq) - KMER + 1, STRIDE))
 
 
-def _mutate(seq: str, rate: float, rng: np.random.Generator) -> str:
+def _mutate(seq: str, rng: np.random.Generator) -> str:
     chars = np.array(list(seq))
-    n_mut = max(1, int(len(chars) * rate))
+    n_mut = max(1, int(len(chars) * MUTATION_RATE))
     idx = rng.choice(len(chars), size=n_mut, replace=False)
     chars[idx] = rng.choice(_BASES, size=n_mut)
     return "".join(chars)
 
 
 def load_bio(*, n_a: int = 420, n_b: int = 420, n_matches: int = 180,
-             seed: int = 0, seq_len: int = 80,
-             mutation_rate: float = 0.12) -> ERDataset:
+             seed: int = 0) -> ERDataset:
     """Two 'submission batches' of nucleotide records with known duplicates.
 
-    The mutation rate is chosen so that most k-mers of a duplicate pair
+    ``MUTATION_RATE`` is chosen so that most k-mers of a duplicate pair
     differ by at least one base: symbolic token overlap collapses (a
     mutated k-mer is a *different token*), while subword-heavy sequence
     embeddings degrade gracefully — the reason the paper's DeepER beats
@@ -62,7 +66,7 @@ def load_bio(*, n_a: int = 420, n_b: int = 420, n_matches: int = 180,
         return f"{''.join(rng.choice(list('abcdehklmnprst'), size=3))}{rng.integers(1, 99)}"
 
     def record():
-        seq = "".join(rng.choice(_BASES, size=seq_len))
+        seq = "".join(rng.choice(_BASES, size=SEQ_LEN))
         return {
             "organism": str(rng.choice(ORGANISMS)),
             "gene": gene_name(),
@@ -77,7 +81,7 @@ def load_bio(*, n_a: int = 420, n_b: int = 420, n_matches: int = 180,
     midx = rng.choice(n_a, size=n_matches, replace=False)
     for j, ai in enumerate(midx):
         r = dict(a_rows[int(ai)])
-        r["sequence"] = _mutate(r["sequence"], mutation_rate, rng)
+        r["sequence"] = _mutate(r["sequence"], rng)
         r["description"] = " ".join(rng.choice(_DESC_WORDS, size=5,
                                                replace=False))
         if rng.random() < 0.4:
@@ -90,7 +94,7 @@ def load_bio(*, n_a: int = 420, n_b: int = 420, n_matches: int = 180,
     for _ in range(n_near):
         src = a_rows[int(rng.integers(0, n_a))]
         r = dict(src)
-        r["sequence"] = "".join(rng.choice(_BASES, size=seq_len))
+        r["sequence"] = "".join(rng.choice(_BASES, size=SEQ_LEN))
         r["description"] = " ".join(rng.choice(_DESC_WORDS, size=5,
                                                replace=False))
         b_rows.append(r)

@@ -19,7 +19,6 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.embeddings.tokenize import tokenize
 from repro.er_data import corrupt as cr
 from repro.er_data import entities as ent
 
@@ -186,26 +185,27 @@ def load(key: str, *, seed: int = 0, scale: float = 1.0) -> ERDataset:
     match_idx = rng.choice(n_a, size=n_m, replace=False)
     b_rows: list[dict] = []
     matches: set[tuple[str, str]] = set()
-    for j, ai in enumerate(match_idx):
-        row = {k: a.iloc[int(ai)][k] for k in attrs}
+    a_rows = a.to_dict("records")
+    for j, ai in enumerate(match_idx.tolist()):
+        row = {k: a_rows[ai][k] for k in attrs}
         if domain == "product":
             _resample_source_ids(row, rng)  # IDs differ across catalogs
             if "price" in row:  # stores price the same product differently
                 row["price"] = f"{float(row['price']) * rng.uniform(0.75, 1.3):.2f}"
         b_rows.append(cr.corrupt_row(row, attrs, noise, rng))
-        matches.add((a.iloc[int(ai)]["id"], f"b{j:05d}"))
+        matches.add((a_rows[ai]["id"], f"b{j:05d}"))
 
     # near-miss hard negatives + fresh entities fill the rest of B
     n_rest = n_b - n_m
     n_near = int(n_rest * spec["near_frac"])
     for _ in range(n_near):
         ai = int(rng.integers(0, n_a))
-        row = {k: a.iloc[ai][k] for k in attrs}
+        row = {k: a_rows[ai][k] for k in attrs}
         b_rows.append(cr.corrupt_row(_near_miss(row, attrs, domain, rng),
                                      attrs, noise, rng))
     fresh = _GEN[domain](rng, n_rest - n_near, spec)
-    for _, row in fresh.iterrows():
-        b_rows.append(cr.corrupt_row(dict(row), attrs, noise, rng))
+    for row in fresh.to_dict("records"):
+        b_rows.append(cr.corrupt_row(row, attrs, noise, rng))
 
     b = pd.DataFrame(b_rows, columns=attrs)
     b.insert(0, "id", [f"b{i:05d}" for i in range(len(b))])
@@ -215,28 +215,6 @@ def load(key: str, *, seed: int = 0, scale: float = 1.0) -> ERDataset:
 
     return ERDataset(name=key, tier=spec["tier"], attributes=attrs,
                      table_a=a, table_b=b, matches=matches)
-
-
-def vocabulary(ds: ERDataset) -> set[str]:
-    """All tokens appearing in either table."""
-    vocab: set[str] = set()
-    for table in (ds.table_a, ds.table_b):
-        for attr in ds.attributes:
-            for v in table[attr]:
-                vocab.update(tokenize(v))
-    return vocab
-
-
-def tuple_token_lists(ds: ERDataset) -> list[list[str]]:
-    """Per-tuple token lists (both tables) — the retrofitting corpus."""
-    out = []
-    for table in (ds.table_a, ds.table_b):
-        for _, row in table.iterrows():
-            toks: list[str] = []
-            for attr in ds.attributes:
-                toks.extend(tokenize(row[attr]))
-            out.append(toks)
-    return out
 
 
 def to_spark(spark: SparkSession, ds: ERDataset) -> tuple[DataFrame, DataFrame]:

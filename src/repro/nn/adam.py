@@ -17,6 +17,8 @@ import numpy as np
 
 from repro.nn.layers import bce_grad
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
 
 class Adam:
     """Adam with L2 decay on weights: ``weight_decay · p`` is added to the
@@ -29,8 +31,8 @@ class Adam:
     of the two copies would silently stop being updated.
     """
 
-    def __init__(self, modules, *, lr: float = 0.01, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 1e-3):
+    def __init__(self, modules, *, lr: float = 0.01,
+                 weight_decay: float = 1e-3):
         modules = list(modules)
         if len({id(mod) for mod in modules}) < len(modules):
             raise ValueError("a module is listed twice")
@@ -55,8 +57,7 @@ class Adam:
                 view[...] = arrays[k]
                 arrays[k] = view
             off += size
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
-        self.weight_decay = weight_decay
+        self.lr, self.weight_decay = lr, weight_decay
         self.t = 0
 
     def zero_grad(self) -> None:
@@ -64,23 +65,23 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.b1 ** self.t
-        bc2 = 1.0 - self.b2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         p, g, m, v, a, b = self._p, self._g, self._m, self._v, self._s1, self._s2
         nd = self._n_decay
         if self.weight_decay and nd:  # g + wd·p on the decayed prefix
             np.multiply(p[:nd], self.weight_decay, out=a[:nd])
             g[:nd] += a[:nd]
-        m *= self.b1                    # b1·m + (1−b1)·g
-        np.multiply(g, 1.0 - self.b1, out=a)
+        m *= BETA1                      # b1·m + (1−b1)·g
+        np.multiply(g, 1.0 - BETA1, out=a)
         m += a
-        v *= self.b2                    # b2·v + ((1−b2)·g)·g
-        np.multiply(g, 1.0 - self.b2, out=a)
+        v *= BETA2                      # b2·v + ((1−b2)·g)·g
+        np.multiply(g, 1.0 - BETA2, out=a)
         a *= g
         v += a
         np.divide(v, bc2, out=a)        # p −= (lr·(m/bc1)) / (√(v/bc2) + eps)
         np.sqrt(a, out=a)
-        a += self.eps
+        a += EPS
         np.divide(m, bc1, out=b)
         b *= self.lr
         b /= a

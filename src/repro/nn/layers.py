@@ -81,18 +81,21 @@ class Dense:
         return {**self.__dict__, "_cache": None}
 
 
-def bce_grad(p: np.ndarray, y: np.ndarray, eps: float = 1e-9) -> np.ndarray:
+BCE_EPS = 1e-9  # probabilities are clipped to [BCE_EPS, 1 - BCE_EPS]
+
+
+def bce_grad(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of the mean binary cross-entropy w.r.t. probabilities ``p``
-    (clipped to ``[eps, 1 - eps]``), 1/N mean factor included."""
-    p = np.clip(p, eps, 1.0 - eps)
+    (clipped), 1/N mean factor included."""
+    p = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
     return (p - y) / (p * (1.0 - p)) / p.shape[0]
 
 
-def bce_loss(p: np.ndarray, y: np.ndarray, eps: float = 1e-9):
+def bce_loss(p: np.ndarray, y: np.ndarray):
     """Mean binary cross-entropy and its gradient :func:`bce_grad`.
 
     Returns ``(loss, dp)``.
     """
-    q = np.clip(p, eps, 1.0 - eps)
+    q = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
     loss = -float(np.mean(y * np.log(q) + (1.0 - y) * np.log(1.0 - q)))
-    return loss, bce_grad(p, y, eps)
+    return loss, bce_grad(p, y)

@@ -9,6 +9,7 @@ from repro.core.compose import (
     avg_tuple_vectors_spark,
     collect_vectors,
     encode_attr_tokens,
+    tuple_tokens,
 )
 from repro.core.similarity import per_attribute_cosine, tuple_cosine
 from repro.embeddings import (
@@ -18,7 +19,6 @@ from repro.embeddings import (
     tokenize,
 )
 from repro.er_data import load, to_spark
-from repro.er_data.datasets import tuple_token_lists
 
 
 def _cell_dr(dictionary, value, extra=None):
@@ -107,7 +107,9 @@ class TestAvgMatrix:
         in-dictionary, ``extra`` and UNK words."""
         ds = load("prod_ag", scale=0.25)
         d = glove_wiki()
-        extra = retrofit_vocabulary(tuple_token_lists(ds), d)
+        extra = retrofit_vocabulary(
+            [toks for table in (ds.table_a, ds.table_b)
+             for toks in tuple_tokens(table, ds.attributes)], d)
         extra = dict(sorted(extra.items())[::2])
         for table in (ds.table_a, ds.table_b):
             want = np.asarray([np.concatenate([_cell_dr(d, v, extra)
@@ -201,6 +203,13 @@ class TestTokenEncoding:
             ids, [[[1, 1, 1], [2, 0, 0]], [[0, 0, 0], [3, 2, 0]]])
         np.testing.assert_array_equal(
             mask, [[[1, 1, 1], [1, 0, 0]], [[1, 0, 0], [1, 1, 0]]])
+
+    def test_tuple_tokens_concatenate_cells_in_attribute_order(self):
+        table = pd.DataFrame({"x": ["A a", None, "c"], "y": ["b", "c B", ""]})
+        assert tuple_tokens(table, ["x", "y"]) == [
+            ["a", "a", "b"], ["c", "b"], ["c"]]
+        assert tuple_tokens(table, ["y", "x"])[0] == ["b", "a", "a"]
+        assert tuple_tokens(table.iloc[:0], ["x", "y"]) == []
 
 
 class TestSparkCompose:

@@ -9,16 +9,13 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baselines import (
-    MagellanLite,
-    exact_match,
-    jaccard_tokens,
-    jaccard_trigrams,
-    levenshtein_sim,
-    numeric_sim,
-)
+from repro.baselines import MagellanLite
 from repro.baselines.magellan_lite import featurize_pairs
-from repro.baselines.simfns import levenshtein, levenshtein_batch
+from repro.baselines.simfns import (
+    PAIR_FEATURES,
+    levenshtein_batch,
+    pair_features,
+)
 from repro.core import DeepERConfig, deeper, evaluate_deeper, evaluate_magellan
 from repro.core.compose import avg_tuple_matrix
 from repro.core.pairs import f1_score, kfold_indices, sample_pairs
@@ -26,6 +23,24 @@ from repro.core.similarity import cosine_topk, tuple_cosine
 from repro.embeddings import glove840
 from repro.embeddings.tokenize import tokenize
 from repro.er_data import ERDataset, load
+
+
+def _one_pair(feature: str):
+    """The ``pair_features`` column ``feature`` of one cell pair."""
+    col = [f.__name__ for f in PAIR_FEATURES].index(f"_{feature}")
+    one = np.zeros(1, np.intp)
+    return lambda a, b: float(pair_features([a], [b], one, one)[0, col])
+
+
+jaccard_tokens = _one_pair("jaccard_tokens")
+jaccard_trigrams = _one_pair("jaccard_trigrams")
+levenshtein_sim = _one_pair("levenshtein_sim")
+exact_match = _one_pair("exact_match")
+numeric_sim = _one_pair("numeric_sim")
+
+
+def levenshtein(a: str, b: str) -> int:
+    return int(levenshtein_batch([a], [b])[0])
 
 
 class TestSimilarityFunctions:
@@ -204,6 +219,14 @@ class TestPipelineEndToEnd:
     def test_update_embeddings_needs_avg_composition(self, composition):
         with pytest.raises(ValueError, match="update_embeddings"):
             replace(SMALL, composition=composition, update_embeddings=True)
+
+    @pytest.mark.parametrize("field", ["folds", "epochs"])
+    def test_setting_that_leaves_the_model_untrained_raises(self, field):
+        """One fold has no training split, and zero epochs no step: either
+        would score an untrained model as if it were a result."""
+        bad = {"folds": 1, "epochs": 0}[field]
+        with pytest.raises(ValueError, match=f"{field} must be >= "):
+            replace(SMALL, **{field: bad})
 
     @pytest.mark.parametrize("evaluate", [evaluate_deeper, evaluate_magellan])
     def test_empty_match_set_raises_naming_dataset(self, evaluate):

@@ -5,13 +5,24 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.compose import tuple_tokens
 from repro.embeddings import glove840, tokenize
-from repro.er_data import DATASET_KEYS, SPECS, load, to_spark, vocabulary
+from repro.er_data import DATASET_KEYS, SPECS, load, to_spark
 from repro.er_data.corrupt import EASY, HARD, NoiseConfig, corrupt_row, corrupt_value
-from repro.er_data.datasets import tuple_token_lists
 from repro.oracle import assert_equivalent
 
 SCALE = 0.25  # unit tests run small
+
+
+def _vocabulary(ds) -> set[str]:
+    """Every token of either table."""
+    return {t for table in (ds.table_a, ds.table_b)
+            for toks in tuple_tokens(table, ds.attributes) for t in toks}
+
+
+def _coverage(dictionary, words) -> float:
+    """The share of ``words`` the dictionary holds."""
+    return float(np.mean([w in dictionary for w in words]))
 
 
 class TestSpecsMatchTable3Shape:
@@ -85,7 +96,7 @@ class TestDatasetInvariants:
         assert np.mean(overlaps) > floor
 
     def test_vocabulary_nonempty_and_tokenized(self, key):
-        v = vocabulary(load(key, scale=SCALE))
+        v = _vocabulary(load(key, scale=SCALE))
         assert len(v) > 50
         assert all(w == w.lower() for w in v)
 
@@ -168,19 +179,20 @@ class TestCorruptChannel:
 class TestTokenListsAndCoverage:
     def test_tuple_token_lists_cover_both_tables(self):
         ds = load("pub_da", scale=0.1)
-        lists = tuple_token_lists(ds)
+        lists = [toks for table in (ds.table_a, ds.table_b)
+                 for toks in tuple_tokens(table, ds.attributes)]
         assert len(lists) == ds.n_a + ds.n_b
         assert all(isinstance(t, str) for lst in lists[:5] for t in lst)
 
     def test_glove840_covers_most_citation_vocab(self):
         ds = load("pub_da", scale=SCALE)
-        cov = glove840().coverage(vocabulary(ds))
+        cov = _coverage(glove840(), _vocabulary(ds))
         assert cov > 0.8  # "general data with full coverage" (§3.1)
 
     def test_prod_wa_has_more_oov_than_pub_da(self):
         d = glove840()
-        cov_wa = d.coverage(vocabulary(load("prod_wa", scale=SCALE)))
-        cov_da = d.coverage(vocabulary(load("pub_da", scale=SCALE)))
+        cov_wa = _coverage(d, _vocabulary(load("prod_wa", scale=SCALE)))
+        cov_da = _coverage(d, _vocabulary(load("pub_da", scale=SCALE)))
         assert cov_wa < cov_da  # wide schema carries IDs (partial coverage)
 
 

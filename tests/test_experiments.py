@@ -26,6 +26,7 @@ from repro.experiments import (
     render,
     table3_rows,
     table4_rows,
+    table7_rows,
     write_result,
 )
 
@@ -147,7 +148,25 @@ class TestTable4:
         assert len(sampled) == len(T4_ORDER)
 
 
+class TestTable7:
+    def test_table7_equals_committed_result(self):
+        """Table 7 (the Spanish dictionary on translated datasets), rebuilt
+        in memory, passes its shape check and is byte-identical to
+        ``results/table7.md``."""
+        rows = table7_rows()
+        _check("table7", rows)
+        assert render("table7", rows) == _committed("table7")
+
+
 class TestBio:
+    def test_bio_equals_committed_result(self):
+        """The §5.2 nucleotide table (bio dictionary, ``load_bio``'s
+        constants), rebuilt in memory, passes its shape check and is
+        byte-identical to ``results/bio.md``."""
+        rows = bio_rows()
+        _check("bio", rows)
+        assert render("bio", rows) == _committed("bio")
+
     def test_deeper_and_magellan_get_one_pair_set(self, monkeypatch):
         """Both §5.2 systems are scored on the same labeled pairs: one
         dictionary ranks the negatives, once, for both."""

@@ -72,3 +72,14 @@ class TestRetrofit:
         q2 = retrofit_vocabulary(tuples, d)
         for w in q1:
             np.testing.assert_allclose(q1[w], q2[w])
+
+    def test_only_oov_vectors_reach_the_embedding_matrix(self):
+        """``as_matrix`` reads a retrofitted vector only for a word the
+        dictionary lacks: a tuned in-vocabulary word keeps its dictionary
+        row, and the OOV word gets its retrofitted one."""
+        d = glove840()
+        q = retrofit_vocabulary([["database", "systems", "0042317"]] * 5, d)
+        assert not np.allclose(q["database"], d.vector("database"))
+        index, mat = d.as_matrix(q, extra=q)
+        assert np.array_equal(mat[index["database"]], d.vector("database"))
+        assert np.array_equal(mat[index["0042317"]], q["0042317"])
