@@ -15,6 +15,10 @@ models differ only in the similarity layer below it:
 - :class:`LSTMDeepER` — shared uni/bi-directional LSTM composition with
   abs-difference similarity (§2.3, Figure 9). The LSTM is trained on the ER
   task; embeddings stay static.
+
+The models take the training recipe (``hidden``, ``lr``, ``epochs``,
+``batch``, ``seed``) without defaults: ``DeepERConfig`` declares it once,
+and ``deeper.network`` passes it.
 """
 from __future__ import annotations
 
@@ -118,8 +122,8 @@ class AvgDeepER(_DeepER):
     """The head over precomputed per-attribute cosine features:
     ``fit(X, y)``, ``predict_proba(X)`` with ``X`` of shape ``(n, m)``."""
 
-    def __init__(self, m: int, *, hidden: int = 24, lr: float = 0.01,
-                 epochs: int = 20, batch: int = 16, seed: int = 0):
+    def __init__(self, m: int, *, hidden: int, lr: float, epochs: int,
+                 batch: int, seed: int):
         super().__init__(m, np.random.default_rng(seed), [], hidden=hidden,
                          lr=lr, epochs=epochs, batch=batch, seed=seed)
 
@@ -138,9 +142,8 @@ class AvgDeepEREndToEnd(_DeepER):
 
     _block = 512
 
-    def __init__(self, m: int, emb_matrix: np.ndarray, *, hidden: int = 24,
-                 lr: float = 0.01, epochs: int = 20, batch: int = 16,
-                 seed: int = 0):
+    def __init__(self, m: int, emb_matrix: np.ndarray, *, hidden: int,
+                 lr: float, epochs: int, batch: int, seed: int):
         self.m = m
         self.emb = _Embedding(emb_matrix)
         super().__init__(m, np.random.default_rng(seed), [], hidden=hidden,
@@ -193,8 +196,7 @@ class LSTMDeepER(_DeepER):
     def __init__(self, m: int, emb_matrix: np.ndarray, *,
                  bidirectional: bool = False,
                  lstm_dim: int = 24,  # paper: 150
-                 hidden: int = 24, lr: float = 0.01, epochs: int = 20,
-                 batch: int = 16, seed: int = 0):
+                 hidden: int, lr: float, epochs: int, batch: int, seed: int):
         rng = np.random.default_rng(seed)
         self.m = m
         self.E = emb_matrix.astype(np.float64)

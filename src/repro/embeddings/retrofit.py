@@ -13,10 +13,18 @@ in-vocabulary words toward the dataset's own co-occurrence structure (the
 SIGMOD~Stonebraker example in the paper), but those tuned vectors only
 steer the OOV updates: ``SyntheticEmbeddings.as_matrix`` reads the returned
 vectors only for words the dictionary lacks.
+
+The state is one ``(V, d)`` matrix with a row per word in sorted order,
+updated in place row by row. That sweep order is fixed because the update
+is Gauss–Seidel: each row reads the rows before it as already updated this
+iteration, so another order gives other vectors and other published F1s.
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
+from functools import reduce
+from itertools import combinations
+from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,12 +46,8 @@ def build_cooccurrence(token_lists: Iterable[Sequence[str]]):
     for toks in token_lists:
         toks = list(dict.fromkeys(toks))[:MAX_TOKENS_PER_TUPLE]
         freq.update(toks)
-        for i in range(len(toks)):
-            for j in range(i + 1, len(toks)):
-                a, b = toks[i], toks[j]
-                if a > b:
-                    a, b = b, a
-                edges[(a, b)] += 1
+        edges.update((a, b) if a < b else (b, a)
+                     for a, b in combinations(toks, 2))
     return edges, freq
 
 
@@ -56,54 +60,49 @@ def retrofit_vocabulary(token_lists: Iterable[Sequence[str]],
     move only slightly; OOV words are anchored weakly (``BETA_OOV``) to
     their co-occurrence initialization and mostly follow their neighbours.
     """
-    token_lists = [list(t) for t in token_lists]
     edges, freq = build_cooccurrence(token_lists)
-
-    nbrs: dict[str, list[tuple[str, int]]] = defaultdict(list)
-    for (a, b), w in edges.items():
-        nbrs[a].append((b, w))
-        nbrs[b].append((a, w))
-
     words = sorted(freq)
-    base: dict[str, np.ndarray] = {}
-    is_oov: dict[str, bool] = {}
-    for w in words:
-        v = dictionary.vector(w)
-        is_oov[w] = v is None
-        base[w] = v if v is not None else _init_oov(w, nbrs, freq, dictionary)
+    if not words:
+        return {}
+    row = {w: k for k, w in enumerate(words)}
+    adj: list[list[tuple[int, int]]] = [[] for _ in words]  # (row, count)
+    for (a, b), cnt in edges.items():
+        adj[row[a]].append((row[b], cnt))
+        adj[row[b]].append((row[a], cnt))
 
-    q = {w: base[w].copy() for w in words}
+    vecs = [dictionary.vector(w) for w in words]
+    beta = [BETA_OOV if v is None else BETA_INVOCAB for v in vecs]
+    q = np.stack([_init_oov(adj[k], words, freq, vecs, dictionary)
+                  if v is None else v for k, v in enumerate(vecs)])
+    anchor = np.array(beta)[:, None] * q
+    nbrs = [np.array(a, dtype=np.intp).reshape(-1, 2) for a in adj]
+    # Neighbour weights are normalized to sum to 1 so the anchor
+    # strength beta is relative to the *whole* neighbourhood: an
+    # in-vocab word moves mildly no matter how many neighbours it
+    # has, while an OOV word (small beta) mostly follows the graph.
+    alpha = [nb[:, 1:] / (float(nb[:, 1].sum()) or 1.0) for nb in nbrs]
+    # beta, then each alpha in row order (sum() compensates on Python 3.12+).
+    den = [reduce(add, a[:, 0].tolist(), b) for a, b in zip(alpha, beta)]
     for _ in range(ITERS):
-        for w in words:
-            beta = BETA_OOV if is_oov[w] else BETA_INVOCAB
-            num = beta * base[w]
-            den = beta
-            # Neighbour weights are normalized to sum to 1 so the anchor
-            # strength beta is relative to the *whole* neighbourhood: an
-            # in-vocab word moves mildly no matter how many neighbours it
-            # has, while an OOV word (small beta) mostly follows the graph.
-            total = float(sum(cnt for _, cnt in nbrs[w])) or 1.0
-            for nb, cnt in nbrs[w]:
-                a = cnt / total
-                num = num + a * q[nb]
-                den += a
-            q[w] = num / den
-    for w in words:
-        n = np.linalg.norm(q[w])
+        for k, (nb, a) in enumerate(zip(nbrs, alpha)):
+            q[k] = np.add.reduce(np.vstack([anchor[k], a * q[nb[:, 0]]]),
+                                 axis=0) / den[k]
+    for v in q:
+        n = np.linalg.norm(v)
         if n > 0:
-            q[w] = q[w] / n
-    return q
+            v /= n
+    return dict(zip(words, q))
 
 
-def _init_oov(word: str, nbrs, freq,
+def _init_oov(adj: list[tuple[int, int]], words, freq, vecs,
               dictionary: SyntheticEmbeddings) -> np.ndarray:
     """Average of the top-K most frequent co-occurring in-vocab words."""
     ranked = sorted(
-        ((cnt * freq[nb], nb) for nb, cnt in nbrs.get(word, [])
-         if dictionary.vector(nb) is not None),
+        ((cnt * freq[words[j]], words[j]) for j, cnt in adj
+         if vecs[j] is not None),
         reverse=True,
     )
-    vecs = [dictionary.vector(nb) for _, nb in ranked[:K_INIT]]
-    if not vecs:
+    top = [dictionary.vector(nb) for _, nb in ranked[:K_INIT]]
+    if not top:
         return dictionary.unk_vector.copy()
-    return np.mean(vecs, axis=0)
+    return np.mean(top, axis=0)

@@ -7,7 +7,7 @@ attributes. Each benchmark gets its own :class:`NoiseConfig`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

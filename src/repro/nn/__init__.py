@@ -13,8 +13,7 @@ optimizer's buffers, so the module must update them in place and never
 rebind them.
 """
 from repro.nn.adam import Adam, TrainLoop
-from repro.nn.layers import Dense, bce_loss, sigmoid
+from repro.nn.layers import Dense, sigmoid
 from repro.nn.lstm import LSTM, BiLSTM
 
-__all__ = ["Adam", "Dense", "LSTM", "BiLSTM", "TrainLoop", "bce_loss",
-           "sigmoid"]
+__all__ = ["Adam", "Dense", "LSTM", "BiLSTM", "TrainLoop", "sigmoid"]

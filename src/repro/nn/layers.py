@@ -89,13 +89,3 @@ def bce_grad(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     (clipped), 1/N mean factor included."""
     p = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
     return (p - y) / (p * (1.0 - p)) / p.shape[0]
-
-
-def bce_loss(p: np.ndarray, y: np.ndarray):
-    """Mean binary cross-entropy and its gradient :func:`bce_grad`.
-
-    Returns ``(loss, dp)``.
-    """
-    q = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
-    loss = -float(np.mean(y * np.log(q) + (1.0 - y) * np.log(1.0 - q)))
-    return loss, bce_grad(p, y)

@@ -4,7 +4,6 @@ the paper's Figure 10 documents."""
 from functools import lru_cache
 
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro.blocking import (

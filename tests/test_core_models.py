@@ -5,6 +5,10 @@ import pytest
 from repro.core.model import AvgDeepER, AvgDeepEREndToEnd, LSTMDeepER
 from repro.core.pairs import f1_score
 
+# The training recipe that ``DeepERConfig`` declares, passed whole: the
+# models take no training defaults of their own.
+RECIPE = dict(hidden=24, lr=0.01, epochs=20, batch=16, seed=0)
+
 
 def _toy_cosine_task(n=300, m=4, seed=0):
     """Synthetic similarity vectors: positives high cosine, negatives low."""
@@ -19,19 +23,19 @@ def _toy_cosine_task(n=300, m=4, seed=0):
 class TestAvgDeepER:
     def test_learns_separable_similarity_vectors(self):
         X, y = _toy_cosine_task()
-        model = AvgDeepER(4, epochs=25, seed=0).fit(X, y)
+        model = AvgDeepER(4, **dict(RECIPE, epochs=25)).fit(X, y)
         f1, _, _ = f1_score(y, (model.predict_proba(X) >= 0.5).astype(float))
         assert f1 > 0.95
 
     def test_deterministic_given_seed(self):
         X, y = _toy_cosine_task()
-        p1 = AvgDeepER(4, seed=3).fit(X, y).predict_proba(X)
-        p2 = AvgDeepER(4, seed=3).fit(X, y).predict_proba(X)
+        p1 = AvgDeepER(4, **dict(RECIPE, seed=3)).fit(X, y).predict_proba(X)
+        p2 = AvgDeepER(4, **dict(RECIPE, seed=3)).fit(X, y).predict_proba(X)
         np.testing.assert_allclose(p1, p2)
 
     def test_proba_in_unit_interval(self):
         X, y = _toy_cosine_task(50)
-        p = AvgDeepER(4, epochs=2).fit(X, y).predict_proba(X)
+        p = AvgDeepER(4, **dict(RECIPE, epochs=2)).fit(X, y).predict_proba(X)
         assert np.all((p >= 0) & (p <= 1))
 
 
@@ -53,7 +57,7 @@ def _toy_pair_tensors(n=120, m=2, T=4, vocab=30, seed=1):
 class TestEndToEndAvg:
     def test_learns_and_updates_embeddings(self):
         E, ia, ma, ib, mb, y = _toy_pair_tensors()
-        model = AvgDeepEREndToEnd(2, E, epochs=25, batch=16, seed=0)
+        model = AvgDeepEREndToEnd(2, E, **dict(RECIPE, epochs=25))
         before = model.emb.params["E"].copy()
         model.fit(ia, ma, ib, mb, y)
         after = model.emb.params["E"]
@@ -68,7 +72,8 @@ class TestLSTMDeepER:
     def test_learns_pair_task(self, bidir):
         E, ia, ma, ib, mb, y = _toy_pair_tensors(n=100, T=3)
         model = LSTMDeepER(2, E, bidirectional=bidir, lstm_dim=8,
-                           hidden=12, epochs=30, batch=20, seed=0)
+                           **dict(RECIPE, hidden=12, epochs=30, batch=20,
+                                  seed=0))
         model.fit(ia, ma, ib, mb, y)
         p = (model.predict_proba(ia, ma, ib, mb) >= 0.5).astype(float)
         assert f1_score(y, p)[0] > 0.85
@@ -76,7 +81,8 @@ class TestLSTMDeepER:
     def test_identical_pair_gets_zero_features(self):
         """|h_a - h_b| = 0 for identical inputs regardless of training."""
         E, ia, ma, ib, mb, y = _toy_pair_tensors(n=8)
-        model = LSTMDeepER(2, E, lstm_dim=6, hidden=8, epochs=1)
+        model = LSTMDeepER(2, E, lstm_dim=6,
+                           **dict(RECIPE, hidden=8, epochs=1))
         state = {}
         model._similarity(np.arange(4), (ia, ma, ia, ma), state)
         # sign(diff) of identical sides is all zeros

@@ -26,6 +26,8 @@ from repro.experiments import (
     render,
     table3_rows,
     table4_rows,
+    table5_rows,
+    table6_rows,
     table7_rows,
     write_result,
 )
@@ -146,6 +148,26 @@ class TestTable4:
         rows = table4_rows(scale=0.2, cfg=FAST)
         assert [r["dataset"] for r in rows] == T4_ORDER
         assert len(sampled) == len(T4_ORDER)
+
+
+class TestTable5:
+    def test_table5_equals_committed_result(self):
+        """Table 5 (glove840 against the low-coverage glove_wiki, both with
+        retrofitting), rebuilt in memory, passes its shape check and is
+        byte-identical to ``results/table5.md``."""
+        rows = table5_rows()
+        _check("table5", rows)
+        assert render("table5", rows) == _committed("table5")
+
+
+class TestTable6:
+    def test_table6_equals_committed_result(self):
+        """Table 6 (glove840, word2vec and fasttext, with retrofitting),
+        rebuilt in memory, passes its shape check and is byte-identical to
+        ``results/table6.md``."""
+        rows = table6_rows()
+        _check("table6", rows)
+        assert render("table6", rows) == _committed("table6")
 
 
 class TestTable7:

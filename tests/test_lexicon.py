@@ -1,7 +1,5 @@
 """Integrity tests for the shared lexicon — the contract between the
 dataset generators and the synthetic dictionaries."""
-import pytest
-
 from repro.embeddings import lexicon as lx
 
 

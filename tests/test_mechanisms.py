@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import DeepERConfig, evaluate_deeper
-from repro.core.deeper import _prepare
-from repro.core.model import AvgDeepER
+from repro.core.deeper import _prepare, network
 from repro.core.pairs import f1_score
 from repro.core.similarity import per_attribute_cosine
 from repro.er_data import load
@@ -42,7 +41,7 @@ def _cv_f1(X, y, train_frac=1.0, flip_frac=0.0, seed=0):
         ytr = y[tr].copy()
         flip = rng.random(len(ytr)) < flip_frac
         ytr[flip] = 1.0 - ytr[flip]
-        model = AvgDeepER(X.shape[1], epochs=15, seed=seed).fit(X[tr], ytr)
+        model = network(replace(CFG, seed=seed), X.shape[1]).fit(X[tr], ytr)
         pred = (model.predict_proba(X[te_idx]) >= 0.5).astype(float)
         scores.append(f1_score(y[te_idx], pred)[0])
     return float(np.mean(scores))

@@ -12,7 +12,12 @@ import repro.core.model as model_mod
 import repro.nn.adam as adam_mod
 from repro.baselines.magellan_lite import MagellanLite
 from repro.core.model import AvgDeepER, AvgDeepEREndToEnd, LSTMDeepER
-from repro.nn import LSTM, Adam, BiLSTM, Dense, TrainLoop, bce_loss
+from repro.nn import LSTM, Adam, BiLSTM, Dense, TrainLoop
+from repro.nn.layers import bce_grad
+
+# The training recipe that ``DeepERConfig`` declares, passed whole: the
+# models take no training defaults of their own.
+RECIPE = dict(hidden=24, lr=0.01, epochs=20, batch=16, seed=0)
 
 
 def test_dense_learns_linearly_separable():
@@ -23,7 +28,7 @@ def test_dense_learns_linearly_separable():
     opt = Adam([clf], lr=0.05, weight_decay=0.0)
     for _ in range(300):
         p = clf.forward(X)[:, 0]
-        _, dp = bce_loss(p, y)
+        dp = bce_grad(p, y)
         opt.zero_grad()
         clf.backward(dp[:, None])
         opt.step()
@@ -72,7 +77,7 @@ def test_lstm_learns_order_sensitive_task():
     for _ in range(150):
         h = enc.forward(X, mask)
         p = head.forward(h)[:, 0]
-        _, dp = bce_loss(p, y)
+        dp = bce_grad(p, y)
         opt.zero_grad()
         dh = head.backward(dp[:, None])
         enc.backward(dh)
@@ -94,8 +99,7 @@ def test_weight_decay_shrinks_unused_weights():
     opt = Adam([layer], lr=0.05, weight_decay=1e-1)
     X = np.zeros((4, 2))  # no signal: only decay acts on W
     for _ in range(200):
-        p = layer.forward(X)[:, 0]
-        _, dp = bce_loss((p * 0) + 0.5, np.full(4, 0.5))
+        layer.forward(X)
         opt.zero_grad()
         layer.backward(np.zeros((4, 1)))
         opt.step()
@@ -138,13 +142,14 @@ class _RefAdam:
 
 
 def _ref_run(self, n, forward, backward, y):
-    """``TrainLoop.run`` as it was: the loss is computed, then dropped."""
+    """``TrainLoop.run`` as it was, less the loss value it computed and
+    dropped."""
     for _ in range(self.epochs):
         order = self.rng.permutation(n)
         for s in range(0, n, self.batch):
             idx = order[s:s + self.batch]
             p = forward(idx)
-            _, dp = bce_loss(p, y[idx])
+            dp = bce_grad(p, y[idx])
             self.opt.zero_grad()
             backward(idx, dp)
             self.opt.step()
@@ -197,8 +202,9 @@ def test_avg_deeper_equals_reference(seed):
     rng = np.random.default_rng(seed)
     X = rng.random((50, 4))
     y = (X.sum(axis=1) > 2.0).astype(float)
-    ref, new = _fit_both(lambda: AvgDeepER(4, hidden=6, epochs=3, batch=8,
-                                           seed=seed),
+    ref, new = _fit_both(lambda: AvgDeepER(4, **dict(RECIPE, hidden=6,
+                                                     epochs=3, batch=8,
+                                                     seed=seed)),
                          lambda mdl: mdl.fit(X, y))
     _assert_same_params(ref, new)
     assert np.array_equal(ref.predict_proba(X), new.predict_proba(X))
@@ -220,7 +226,8 @@ def test_end_to_end_with_embedding_updates_equals_reference():
     data = _token_data(np.random.default_rng(4))
     emb = np.random.default_rng(5).normal(size=(20, 5))
     ref, new = _fit_both(
-        lambda: AvgDeepEREndToEnd(2, emb, hidden=6, epochs=2, batch=8),
+        lambda: AvgDeepEREndToEnd(2, emb, **dict(RECIPE, hidden=6, epochs=2,
+                                                  batch=8)),
         lambda mdl: mdl.fit(*data))
     _assert_same_params(ref, new)
     assert not np.array_equal(new.emb.params["E"], emb)  # embeddings moved
@@ -234,7 +241,8 @@ def test_lstm_deeper_equals_reference(bidirectional):
     emb = np.random.default_rng(7).normal(size=(20, 5))
     ref, new = _fit_both(
         lambda: LSTMDeepER(2, emb, bidirectional=bidirectional, lstm_dim=4,
-                           hidden=5, epochs=2, batch=8, seed=1),
+                           **dict(RECIPE, hidden=5, epochs=2, batch=8,
+                                  seed=1)),
         lambda mdl: mdl.fit(*data))
     _assert_same_params(ref, new)
     assert np.array_equal(ref.predict_proba(*data[:4]),
@@ -253,7 +261,8 @@ def test_dense_call_is_forward_without_cache(activation):
 
 
 @pytest.mark.parametrize("build", [
-    lambda X, y: AvgDeepER(4, hidden=6, epochs=2, batch=8).fit(X, y),
+    lambda X, y: AvgDeepER(4, **dict(RECIPE, hidden=6, epochs=2,
+                                     batch=8)).fit(X, y),
     lambda X, y: MagellanLite(4, epochs=2, batch=8).fit(X, y),
 ], ids=["avg", "magellan"])
 def test_predict_proba_keeps_no_scored_block(build):
@@ -272,7 +281,8 @@ def test_predict_proba_keeps_no_scored_block(build):
 def test_end_to_end_predict_proba_keeps_no_scored_block():
     data = _token_data(np.random.default_rng(4))
     emb = np.random.default_rng(5).normal(size=(20, 5))
-    model = AvgDeepEREndToEnd(2, emb, hidden=6, epochs=1, batch=8)
+    model = AvgDeepEREndToEnd(2, emb, **dict(RECIPE, hidden=6, epochs=1,
+                                              batch=8))
     model.fit(*data)
     trained = model.dense._cache, model.clf._cache
     model.predict_proba(*data[:4])
@@ -287,7 +297,8 @@ def test_lstm_predict_proba_keeps_no_scored_block(bidirectional):
     data = _token_data(np.random.default_rng(4))
     emb = np.random.default_rng(5).normal(size=(20, 5))
     model = LSTMDeepER(2, emb, bidirectional=bidirectional, lstm_dim=4,
-                       hidden=6, epochs=1, batch=8).fit(*data)
+                       **dict(RECIPE, hidden=6, epochs=1, batch=8)
+                       ).fit(*data)
     layers = [model.dense, model.clf,
               *(model.enc.modules if bidirectional else [model.enc])]
     trained = [l._cache for l in layers]
@@ -306,7 +317,8 @@ def test_pickled_lstm_model_predicts_exactly_without_forward_cache(
     data = _token_data(np.random.default_rng(4))
     emb = np.random.default_rng(5).normal(size=(20, 5))
     model = LSTMDeepER(2, emb, bidirectional=bidirectional, lstm_dim=4,
-                       hidden=6, epochs=1, batch=8).fit(*data)
+                       **dict(RECIPE, hidden=6, epochs=1, batch=8)
+                       ).fit(*data)
     got = pickle.loads(pickle.dumps(model))
     modules = got.enc.modules if bidirectional else [got.enc]
     assert all(m._cache is None for m in modules)
@@ -316,10 +328,11 @@ def test_pickled_lstm_model_predicts_exactly_without_forward_cache(
 
 
 @pytest.mark.parametrize("build", [
-    lambda emb: AvgDeepER(4, epochs=1),
-    lambda emb: AvgDeepEREndToEnd(2, emb, epochs=1),
-    lambda emb: LSTMDeepER(2, emb, lstm_dim=4, epochs=1),
-    lambda emb: LSTMDeepER(2, emb, bidirectional=True, lstm_dim=4, epochs=1),
+    lambda emb: AvgDeepER(4, **dict(RECIPE, epochs=1)),
+    lambda emb: AvgDeepEREndToEnd(2, emb, **dict(RECIPE, epochs=1)),
+    lambda emb: LSTMDeepER(2, emb, lstm_dim=4, **dict(RECIPE, epochs=1)),
+    lambda emb: LSTMDeepER(2, emb, bidirectional=True, lstm_dim=4,
+                           **dict(RECIPE, epochs=1)),
 ], ids=["avg", "end_to_end", "lstm", "bilstm"])
 def test_predict_proba_of_no_pairs_is_empty(build):
     """A CV fold can have an empty test set: every model scores it."""

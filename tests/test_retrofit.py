@@ -1,8 +1,124 @@
 """Tests for vocabulary retrofitting (§3.2)."""
-import numpy as np
+from collections import Counter, defaultdict
+from typing import Iterable, Sequence
 
-from repro.embeddings import glove840, retrofit_vocabulary
-from repro.embeddings.retrofit import build_cooccurrence
+import numpy as np
+import pytest
+
+from repro.core.deeper import _tuple_tokens
+from repro.embeddings import (
+    SyntheticEmbeddings,
+    fasttext,
+    glove840,
+    glove_wiki,
+    retrofit_vocabulary,
+    word2vec,
+)
+from repro.embeddings.retrofit import (
+    BETA_INVOCAB,
+    BETA_OOV,
+    ITERS,
+    K_INIT,
+    MAX_TOKENS_PER_TUPLE,
+    build_cooccurrence,
+)
+from repro.er_data import load
+
+# The word-keyed loop that ``retrofit_vocabulary`` replaced, kept as the
+# reference its matrix sweep must equal bit for bit. That equality rests on
+# ``np.add.reduce(axis=0)`` adding the rows in order, as this loop does.
+
+
+def _ref_build_cooccurrence(token_lists: Iterable[Sequence[str]]):
+    """Pairwise co-occurrence counts over tuples (each tuple = one context,
+    per the paper's "connected if they co-occur in some tuple")."""
+    edges: Counter = Counter()
+    freq: Counter = Counter()
+    for toks in token_lists:
+        toks = list(dict.fromkeys(toks))[:MAX_TOKENS_PER_TUPLE]
+        freq.update(toks)
+        for i in range(len(toks)):
+            for j in range(i + 1, len(toks)):
+                a, b = toks[i], toks[j]
+                if a > b:
+                    a, b = b, a
+                edges[(a, b)] += 1
+    return edges, freq
+
+
+def _ref_retrofit_vocabulary(token_lists: Iterable[Sequence[str]],
+                              dictionary: SyntheticEmbeddings
+                              ) -> dict[str, np.ndarray]:
+    """Return retrofitted vectors for every word seen in ``token_lists``.
+
+    In-vocabulary words are anchored strongly (``BETA_INVOCAB``) so they
+    move only slightly; OOV words are anchored weakly (``BETA_OOV``) to
+    their co-occurrence initialization and mostly follow their neighbours.
+    """
+    token_lists = [list(t) for t in token_lists]
+    edges, freq = _ref_build_cooccurrence(token_lists)
+
+    nbrs: dict[str, list[tuple[str, int]]] = defaultdict(list)
+    for (a, b), w in edges.items():
+        nbrs[a].append((b, w))
+        nbrs[b].append((a, w))
+
+    words = sorted(freq)
+    base: dict[str, np.ndarray] = {}
+    is_oov: dict[str, bool] = {}
+    for w in words:
+        v = dictionary.vector(w)
+        is_oov[w] = v is None
+        base[w] = (v if v is not None
+                   else _ref_init_oov(w, nbrs, freq, dictionary))
+
+    q = {w: base[w].copy() for w in words}
+    for _ in range(ITERS):
+        for w in words:
+            beta = BETA_OOV if is_oov[w] else BETA_INVOCAB
+            num = beta * base[w]
+            den = beta
+            # Neighbour weights are normalized to sum to 1 so the anchor
+            # strength beta is relative to the *whole* neighbourhood: an
+            # in-vocab word moves mildly no matter how many neighbours it
+            # has, while an OOV word (small beta) mostly follows the graph.
+            total = float(sum(cnt for _, cnt in nbrs[w])) or 1.0
+            for nb, cnt in nbrs[w]:
+                a = cnt / total
+                num = num + a * q[nb]
+                den += a
+            q[w] = num / den
+    for w in words:
+        n = np.linalg.norm(q[w])
+        if n > 0:
+            q[w] = q[w] / n
+    return q
+
+
+def _ref_init_oov(word: str, nbrs, freq,
+                  dictionary: SyntheticEmbeddings) -> np.ndarray:
+    """Average of the top-K most frequent co-occurring in-vocab words."""
+    ranked = sorted(
+        ((cnt * freq[nb], nb) for nb, cnt in nbrs.get(word, [])
+         if dictionary.vector(nb) is not None),
+        reverse=True,
+    )
+    vecs = [dictionary.vector(nb) for _, nb in ranked[:K_INIT]]
+    if not vecs:
+        return dictionary.unk_vector.copy()
+    return np.mean(vecs, axis=0)
+
+
+def _assert_same_as_reference(tuples, dictionary):
+    ref_edges, ref_freq = _ref_build_cooccurrence(tuples)
+    edges, freq = build_cooccurrence(tuples)
+    assert list(edges.items()) == list(ref_edges.items())
+    assert list(freq.items()) == list(ref_freq.items())
+    ref = _ref_retrofit_vocabulary(tuples, dictionary)
+    q = retrofit_vocabulary(tuples, dictionary)
+    assert list(q) == list(ref)
+    for w in ref:
+        assert np.array_equal(q[w], ref[w]), w
 
 
 def _cos(a, b):
@@ -83,3 +199,31 @@ class TestRetrofit:
         index, mat = d.as_matrix(q, extra=q)
         assert np.array_equal(mat[index["database"]], d.vector("database"))
         assert np.array_equal(mat[index["0042317"]], q["0042317"])
+
+
+_LONG = [f"term{i}" for i in range(MAX_TOKENS_PER_TUPLE + 10)] + ["0042317"]
+
+
+class TestMatchesReference:
+    """The matrix sweep equals the word-keyed loop it replaced: the same
+    words in the same order, and every vector ``np.array_equal``."""
+
+    @pytest.mark.parametrize("key, factory", [
+        ("pub_da", glove840), ("rest_fz", glove_wiki),
+        ("pub_ds", word2vec), ("prod_ag", fasttext),
+    ])
+    def test_dataset_vocabularies(self, key, factory):
+        tuples = _tuple_tokens(load(key, scale=0.2))
+        _assert_same_as_reference(tuples, factory())
+
+    @pytest.mark.parametrize("tuples", [
+        [],
+        [[]],
+        [["00912345"]],
+        [["0042317", "99712345"]] * 3,
+        [["database", "database", "0042317", "database", "systems"]] * 2,
+        [_LONG, _LONG[::-1], ["term3", "0042317"]],
+    ], ids=["empty_corpus", "empty_tuple", "lone_oov", "oov_neighbours_only",
+            "repeated_tokens", "over_token_cap"])
+    def test_edge_cases(self, tuples):
+        _assert_same_as_reference(tuples, glove840())

@@ -86,7 +86,8 @@ def test_pickled_model_predicts_exactly_without_forward_cache():
     which after driver scoring holds a whole block of pairs."""
     rng = np.random.default_rng(0)
     X = rng.normal(0, 10, (8192, 5))
-    model = AvgDeepER(5, epochs=2, seed=0).fit(X[:300], (X[:300, 0] > 0) * 1.0)
+    model = AvgDeepER(5, hidden=24, lr=0.01, epochs=2, batch=16, seed=0)
+    model.fit(X[:300], (X[:300, 0] > 0) * 1.0)
     want = model.predict_proba(X)
     got = pickle.loads(pickle.dumps(model))
     assert got.dense._cache is None and got.clf._cache is None
