@@ -84,19 +84,3 @@ def spark() -> SparkSession:
     yield s
     s.stop()
 
-
-@pytest.fixture
-def topk_fallbacks(monkeypatch) -> list:
-    """Records each row that ``cosine_topk`` ranks from its exact full row
-    because exact cosines tie inside its top k or at the cut."""
-    from repro.core import similarity
-
-    calls: list = []
-    exact = similarity._exact_topk
-
-    def counted(*args):
-        calls.append(args)
-        return exact(*args)
-
-    monkeypatch.setattr(similarity, "_exact_topk", counted)
-    return calls

@@ -36,7 +36,8 @@ def multiprobe_topn_candidates(mat_a: np.ndarray, mat_b: np.ndarray,
     all probed buckets across the L tables, rank by cosine, keep top-N.
 
     A-tuples with the same L codes probe the same buckets, so each such
-    group is ranked against its candidate set in one ``cosine_topk`` call.
+    group is ranked against its candidate set in one ``cosine_topk`` call;
+    of equal cosines, the lower B row is kept first.
     Returns the kept row-index pairs as ``candidate_pairs_np`` does: a
     ``(n, 2)`` int64 array sorted by ``(i, j)``. Raises ``ValueError``
     unless ``0 <= n_probes <= K`` and ``top_n >= 1``.

@@ -67,7 +67,7 @@ def avg_tuple_matrix(table: pd.DataFrame, attrs: list[str],
 
 
 def avg_tuple_vectors_spark(df: DataFrame, attrs: list[str],
-                            dict_name: str, d: int = 32) -> DataFrame:
+                            dict_name: str, d: int) -> DataFrame:
     """Distributed Algorithm 1: ``(id, vec)`` with ``vec`` an ``m*d`` array.
 
     The dictionary is built from its registry name once per Python worker

@@ -22,8 +22,9 @@ def sample_pairs(ds: ERDataset, vec_a: np.ndarray, vec_b: np.ndarray,
 
     Returns ``(pairs, labels, threshold)`` where pairs are ``(id_a, id_b)``
     and labels are 1.0 for matches. Negatives per positive: ``neg_ratio``,
-    half drawn as informative near-misses (highest-cosine non-matches), half
-    uniform; both lie below the threshold. Raises ``ValueError`` if
+    half drawn as informative near-misses (highest-cosine non-matches, of
+    equal cosines the lower ``vec_b`` row first), half uniform; both lie
+    below the threshold. Raises ``ValueError`` if
     ``neg_ratio < 0`` or if ``ids_a`` or ``ids_b`` repeats an id.
     """
     if neg_ratio < 0:

@@ -56,8 +56,9 @@ def cosine_topk(va: np.ndarray, vb: np.ndarray, k: int, *,
     Yields, for each row of ``va`` in order, ``(top, is_below)``:
     ``is_below`` is the row's ``tuple_cosine(...) < below`` mask over
     ``vb``, and ``top`` holds the ``vb`` row indices of its ``k`` largest
-    cosines among the entries below ``below``, largest first: exactly
-    ``order[np.argsort(-sims[order])][:k]`` with
+    cosines among the entries below ``below``, largest first, equal
+    cosines in ascending row order: exactly
+    ``order[np.argsort(-sims[order], kind="stable")][:k]`` with
     ``order = np.flatnonzero(is_below)`` on the full exact row ``sims``.
     Rows are finite; ``norm_b`` is ``np.linalg.norm(vb, axis=-1)``.
 
@@ -70,10 +71,10 @@ def cosine_topk(va: np.ndarray, vb: np.ndarray, k: int, *,
     an entry screened more than ``2*tol`` under a row's ``k``-th screened
     value cannot be in its exact top ``k``. Only the entries left, the
     row's top ``k`` plus the near ones, are recomputed with
-    ``tuple_cosine``; every decision is taken on those exact values. When
-    exact values tie inside the top ``k`` or at its cut, the order
-    ``argsort`` gives depends on the whole row, so that row is ranked
-    from its exact full row instead.
+    ``tuple_cosine``; every decision is taken on those exact values.
+    Every entry whose exact value ties the ``k``-th is among them, and a
+    stable sort of them keeps equal values in column order, so the result
+    does not depend on which sort the CPU dispatches to.
     """
     if norm_b is None:
         norm_b = np.linalg.norm(vb, axis=-1)
@@ -103,24 +104,10 @@ def _topk_block(va, norm_a, vb, norm_b, k, below):
     r, c = np.nonzero(is_below & (scores >= lo[:, None]))
     exact = _cosine_pairs(va, vb, norm_b, r, c)
     o = np.lexsort((-exact, r))
-    r, c, exact = r[o], c[o], exact[o]
+    r, c = r[o], c[o]
     starts = np.searchsorted(r, np.arange(n_r + 1))
-    rank = np.arange(len(r)) - starts[r]
-    tied = (r[1:] == r[:-1]) & (exact[1:] == exact[:-1]) & (rank[:-1] < k)
-    fallback = set(r[:-1][tied].tolist())
     for i in range(n_r):
-        if i in fallback:
-            yield _exact_topk(va[i], vb, norm_b, k, below)
-        else:
-            yield c[starts[i]:min(starts[i] + k, starts[i + 1])], is_below[i]
-
-
-def _exact_topk(row, vb, norm_b, k, below):
-    """One row ranked from its exact full row (the tie fallback)."""
-    sims = tuple_cosine(row[None, :], vb, norm_b)
-    is_below = sims < below
-    order = np.flatnonzero(is_below)
-    return order[np.argsort(-sims[order])][:k], is_below
+        yield c[starts[i]:min(starts[i] + k, starts[i + 1])], is_below[i]
 
 
 def _cosine_pairs(va, vb, norm_b, r, c):

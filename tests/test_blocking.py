@@ -5,6 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from pyspark.sql import functions as F
 
 from repro.blocking import (
     add_lsh_codes,
@@ -289,9 +290,23 @@ def _ref_multiprobe_topn(mat_a, mat_b, planes, *, n_probes=1, top_n=10):
             continue
         cand_list = sorted(cand)
         sims = tuple_cosine(mat_a[i][None, :], mat_b[cand_list])
-        for k in np.argsort(-sims)[:top_n]:
+        for k in np.argsort(-sims, kind="stable")[:top_n]:
             out.add((i, cand_list[int(k)]))
     return out
+
+
+TIED_TOP_NS = [1, 2, 3, 5, 10_000]
+
+
+def _tied_null_rows():
+    """Every B row twice, NULL-only (all-zero) rows on both sides:
+    ``(va, vb, planes)``."""
+    rng = np.random.default_rng(7)
+    va = _unit_rows(rng, 40, 16)
+    base = _unit_rows(rng, 60, 16)
+    va[0] = base[5] = 0.0
+    vb = np.concatenate([base, base])
+    return va, vb, random_hyperplanes(16, K=3, L=2, seed=1)
 
 
 @lru_cache(maxsize=None)
@@ -306,7 +321,7 @@ class TestTopNEqualsReference:
     @pytest.mark.parametrize("name", ["prod_ag", "pub_ds"])
     @pytest.mark.parametrize("K,L,n_probes,top_n", [
         (10, 1, 1, 10), (10, 1, 2, 10), (8, 3, 1, 10), (5, 2, 0, 50)])
-    def test_datasets(self, name, K, L, n_probes, top_n, topk_fallbacks):
+    def test_datasets(self, name, K, L, n_probes, top_n):
         va, vb = _drs(name)
         planes = random_hyperplanes(va.shape[1], K, L, seed=2)
         got = multiprobe_topn_candidates(va, vb, planes, n_probes=n_probes,
@@ -314,24 +329,16 @@ class TestTopNEqualsReference:
         _assert_pair_contract(got, len(vb))
         np.testing.assert_array_equal(got, _sorted_pairs(_ref_multiprobe_topn(
             va, vb, planes, n_probes=n_probes, top_n=top_n)))
-        assert not topk_fallbacks
 
-    @pytest.mark.parametrize("top_n", [1, 2, 3, 5, 10_000])
-    def test_ties_and_null_rows(self, top_n, topk_fallbacks):
-        """Every B row twice, NULL-only (all-zero) rows on both sides; at
-        N = 10,000 every A-tuple keeps its whole candidate set."""
-        rng = np.random.default_rng(7)
-        va = _unit_rows(rng, 40, 16)
-        base = _unit_rows(rng, 60, 16)
-        va[0] = base[5] = 0.0
-        vb = np.concatenate([base, base])
-        planes = random_hyperplanes(16, K=3, L=2, seed=1)
+    @pytest.mark.parametrize("top_n", TIED_TOP_NS)
+    def test_ties_and_null_rows(self, top_n):
+        """At N = 10,000 every A-tuple keeps its whole candidate set."""
+        va, vb, planes = _tied_null_rows()
         got = multiprobe_topn_candidates(va, vb, planes, n_probes=1,
                                          top_n=top_n)
         _assert_pair_contract(got, len(vb))
         np.testing.assert_array_equal(got, _sorted_pairs(_ref_multiprobe_topn(
             va, vb, planes, n_probes=1, top_n=top_n)))
-        assert topk_fallbacks
 
     @pytest.mark.parametrize("n_a,n_b", [(0, 20), (20, 0), (0, 0)])
     def test_empty_side(self, n_a, n_b):
@@ -411,8 +418,9 @@ class TestSparkBlocking:
 
 class TestSparkPartitionCounts:
     """Spark DRs, codes and candidates equal the driver's whether the input
-    and the shuffle sit in one partition or in 200 (most of them empty),
-    with an attribute that is NULL in every row of both tables."""
+    and the shuffle sit in one partition each or the input in 32 hashed on
+    ``year`` (some of them empty) and the shuffle in 200, with an attribute
+    that is NULL in every row of both tables."""
 
     D = 32
 
@@ -422,19 +430,22 @@ class TestSparkPartitionCounts:
         tabs = [t.assign(notes=None) for t in (ds.table_a, ds.table_b)]
         return tabs, ds.attributes + ["notes"]
 
-    @pytest.mark.parametrize("parts", [1, 200])
-    def test_spark_equals_driver(self, spark, tables, parts):
+    @pytest.mark.parametrize("parts,shuffle", [(1, 1), (32, 200)])
+    def test_spark_equals_driver(self, spark, tables, parts, shuffle):
         tabs, attrs = tables
         planes = random_hyperplanes(self.D * len(attrs), K=4, L=3, seed=7)
         want = [avg_tuple_matrix(t, attrs, glove840(self.D)) for t in tabs]
         schema = ", ".join(f"{c} string" for c in tabs[0].columns)
-        shuffle = spark.conf.get("spark.sql.shuffle.partitions")
-        spark.conf.set("spark.sql.shuffle.partitions", str(parts))
+        saved = spark.conf.get("spark.sql.shuffle.partitions")
+        spark.conf.set("spark.sql.shuffle.partitions", str(shuffle))
         vecs, codes = [], []
         try:
-            dfs = [spark.createDataFrame(t, schema).repartition(parts)
+            dfs = [spark.createDataFrame(t, schema).repartition(parts, "year")
                    for t in tabs]
             assert [df.rdd.getNumPartitions() for df in dfs] == [parts] * 2
+            if parts > 1:  # at least one input partition is empty
+                assert all(df.select(F.spark_partition_id()).distinct()
+                           .count() < parts for df in dfs)
             for df in dfs:
                 vecs.append(avg_tuple_vectors_spark(
                     df, attrs, "glove840", self.D).cache())
@@ -444,7 +455,7 @@ class TestSparkPartitionCounts:
             got_cands = {(r["id_a"], r["id_b"])
                          for r in candidate_pairs(*codes).collect()}
         finally:
-            spark.conf.set("spark.sql.shuffle.partitions", shuffle)
+            spark.conf.set("spark.sql.shuffle.partitions", saved)
             for df in vecs + codes:
                 df.unpersist()
 

@@ -360,7 +360,7 @@ def _ref_sample_pairs(ds, vec_a, vec_b, ids_a, ids_b, *, neg_ratio=10,
     for a in sorted(pos_a):
         sims = tuple_cosine(vec_a[row_a[a]][None, :], vec_b)
         below = np.flatnonzero(sims < threshold)
-        order = below[np.argsort(-sims[below])]
+        order = below[np.argsort(-sims[below], kind="stable")]
         hard = [int(i) for i in order
                 if ids_b[int(i)] != match_of[a]][: neg_ratio - neg_ratio // 2]
         easy = [int(i) for i in rng.permutation(n_b)
@@ -421,7 +421,7 @@ def _assert_same_pair_set(got, ref):
 
 @pytest.mark.parametrize("name", ["prod_ag", "pub_ds", "rest_fz", "pub_dc"])
 @pytest.mark.parametrize("seed", [0, 3])
-def test_sample_pairs_equals_reference(name, seed, topk_fallbacks):
+def test_sample_pairs_equals_reference(name, seed):
     ds, va, vb, ids_a, ids_b = _sampled(name, seed)
     got = sample_pairs(ds, va, vb, ids_a, ids_b, neg_ratio=20, seed=seed)
     ref = _ref_sample_pairs(ds, va, vb, ids_a, ids_b, neg_ratio=20,
@@ -433,8 +433,6 @@ def test_sample_pairs_equals_reference(name, seed, topk_fallbacks):
     pos = [float(tuple_cosine(va[row_a[a]], vb[row_b[b]]))
            for a, b in sorted(ds.matches)]
     assert float(np.percentile(pos, 5)) == got[2]
-    # generated DRs have no exact ties: the screen ranks every row
-    assert not topk_fallbacks
 
 
 def test_sample_pairs_rejects_negative_neg_ratio():
@@ -493,16 +491,32 @@ def _tied_pair_set():
     return ds, va, vb, ids_a, ids_b
 
 
-@pytest.mark.parametrize("neg_ratio", [1, 2, 6, 20, 200])
-def test_sample_pairs_ties_fall_back_to_exact_rows(neg_ratio,
-                                                   topk_fallbacks):
+TIED_NEG_RATIOS = [1, 2, 6, 20, 200]
+
+
+@pytest.mark.parametrize("neg_ratio", TIED_NEG_RATIOS)
+def test_sample_pairs_ties_rank_by_row(neg_ratio):
     ds, va, vb, ids_a, ids_b = _tied_pair_set()
     got = sample_pairs(ds, va, vb, ids_a, ids_b, neg_ratio=neg_ratio)
     _assert_same_pair_set(got, _ref_sample_pairs(ds, va, vb, ids_a, ids_b,
                                                  neg_ratio=neg_ratio))
     on_threshold = tuple_cosine(va[:21], vb[40:61]) == got[2]
     assert on_threshold.any()
-    assert topk_fallbacks
+
+
+TIED_KS = [1, 2, 3, 4, 60]
+
+
+def _tied_rows():
+    """Every B row two or three times: each A row's cosines tie in pairs
+    and triples. Returns ``(va, vb, belows)``, where one ``below`` is a
+    cosine of the row set and one lies just above it."""
+    rng = np.random.default_rng(1)
+    va = rng.standard_normal((20, 8))
+    base = rng.standard_normal((25, 8))
+    vb = np.concatenate([base, base, base[:5]])
+    on_a_value = float(tuple_cosine(va[0], vb[3]))
+    return va, vb, (np.inf, on_a_value, np.nextafter(on_a_value, 2.0))
 
 
 def _ref_topk(va, vb, k, below):
@@ -510,7 +524,8 @@ def _ref_topk(va, vb, k, below):
     for row in va:
         sims = tuple_cosine(row[None, :], vb)
         order = np.flatnonzero(sims < below)
-        out.append((order[np.argsort(-sims[order])][:k], sims < below))
+        out.append((order[np.argsort(-sims[order], kind="stable")][:k],
+                    sims < below))
     return out
 
 
@@ -526,24 +541,18 @@ class TestCosineTopk:
 
     @pytest.mark.parametrize("k", [0, 1, 7, 1500, 1501])
     @pytest.mark.parametrize("below", [np.inf, 0.1, -0.3])
-    def test_equals_full_row_ranking(self, k, below, topk_fallbacks):
+    def test_equals_full_row_ranking(self, k, below):
         # 1,500 columns: the 200 rows span several score blocks
         rng = np.random.default_rng(k)
         va = rng.standard_normal((200, 24))
         vb = rng.standard_normal((1500, 24))
         self._check(va, vb, k, below)
-        assert not topk_fallbacks
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 60])
-    def test_ties_fall_back_to_exact_rows(self, k, topk_fallbacks):
-        rng = np.random.default_rng(1)
-        va = rng.standard_normal((20, 8))
-        base = rng.standard_normal((25, 8))
-        vb = np.concatenate([base, base, base[:5]])
-        on_a_value = float(tuple_cosine(va[0], vb[3]))
-        for below in (np.inf, on_a_value, np.nextafter(on_a_value, 2.0)):
+    @pytest.mark.parametrize("k", TIED_KS)
+    def test_ties_rank_by_row(self, k):
+        va, vb, belows = _tied_rows()
+        for below in belows:
             self._check(va, vb, k, below)
-        assert topk_fallbacks
 
     def test_values_closer_than_the_screen_error(self):
         """B rows 1e-15 apart: exact cosines differ by a few ulps, about
