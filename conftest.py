@@ -2,42 +2,21 @@ import os
 import sys
 
 
-def _driver_mem() -> str:
-    """~75% of the container's memory limit, for the Spark driver JVM.
-
-    Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
-    imported anywhere — this runs at conftest import, which pytest loads
-    before any test module.
-
-    The cgroup read is best-effort: the sandbox runs under gVisor, whose
-    sysfs emulation may not pass the host limit through. An unbounded
-    value (cgroup-v1's ~9.2e18 "unlimited" sentinel, or a missing limit)
-    is treated as absent so the JVM is never handed an impossible heap.
-    """
-    if m := os.environ.get("SPARK_DRIVER_MEM"):
-        return m
-    for p in (
-        "/sys/fs/cgroup/memory.max",
-        "/sys/fs/cgroup/memory/memory.limit_in_bytes",
-    ):
-        try:
-            raw = open(p).read().strip()
-            if not raw or raw == "max":
-                continue
-            gib = int(raw) / (1 << 30)
-            if not (1 <= gib <= 1024):  # v1 "unlimited" → ~8.6e9 GiB
-                continue
-            os.environ["_SPARK_DRIVER_MEM_SRC"] = f"cgroup:{p}={raw}"
-            return f"{max(1, int(gib * 0.75))}g"
-        except (OSError, ValueError):
-            continue
-    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+def _half_memory() -> str:
+    """Half of physical memory in whole GiB, clamped to [2, 8]: the rule
+    the tier-1 command in ROADMAP.md applies to /proc/meminfo."""
+    gib = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // (2 << 30)
+    return f"{min(max(gib, 2), 8)}g"
 
 
-os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
+# The Spark driver heap: SPARK_DRIVER_MEM if set, else half of memory.
+# spark.driver.memory is read at JVM launch, not from SparkConf, so it must
+# be in PYSPARK_SUBMIT_ARGS before pyspark is imported anywhere; this runs
+# at conftest import, which pytest loads before any test module.
+_MEM_SRC = "env" if os.environ.get("SPARK_DRIVER_MEM") else "meminfo"
+if _MEM_SRC == "meminfo":
+    os.environ["SPARK_DRIVER_MEM"] = _half_memory()
+
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
     f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
@@ -64,19 +43,15 @@ def spark() -> SparkSession:
     """
     s = (
         SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
+        .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
-    # One line in test_output.txt that tells the driver whether the
-    # cgroup derivation saw the real limit (README § Spark target).
+    # One line in the test output that says where the driver heap came from.
     print(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
-        f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "
+        f"(src={_MEM_SRC}) "
         f"master={s.sparkContext.master} "
         f"defaultParallelism={s.sparkContext.defaultParallelism}",
         file=sys.stderr,

@@ -50,11 +50,14 @@ class MagellanLite:
                               rng=rng, weight_decay=1e-4)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "MagellanLite":
+        state = {}  # the layer's cache, from forward to backward
+
         def forward(idx):
-            return self.clf.forward(X[idx])[:, 0]
+            p, state["clf"] = self.clf.forward(X[idx])
+            return p[:, 0]
 
         def backward(idx, dp):
-            self.clf.backward(dp[:, None])
+            self.clf.backward(dp[:, None], state["clf"])
 
         self.loop.run(len(X), forward, backward, y)
         return self

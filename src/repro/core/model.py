@@ -71,11 +71,11 @@ class _DeepER:
     returns the ``(B, width)`` similarity vectors of the pairs ``idx`` of
     ``data``, the input arrays that ``fit`` and ``predict_proba`` take.
     ``_similarity_backward(idx, data, dsim, state)`` carries their gradient
-    below the similarity vector. Training passes a ``state`` dict that lives
-    only as long as ``fit``: the similarity layer keeps what its backward
-    pass needs there, and without it nothing is cached, so a fitted model
-    holds no batch and no scored block. ``_block`` pairs are scored at a
-    time (``None``: all at once).
+    below the similarity vector. Layers keep no state: ``fit`` holds their
+    caches, and what else the similarity layer's backward pass needs, in a
+    ``state`` dict that lives only as long as ``fit``; scoring passes none.
+    So a fitted model is just its parameters. ``_block`` pairs are scored
+    at a time (``None``: all at once).
     """
 
     _block: int | None = None
@@ -98,10 +98,13 @@ class _DeepER:
 
         def forward(idx):
             sim = self._similarity(idx, data, state)
-            return self.clf.forward(self.dense.forward(sim))[:, 0]
+            hid, state["dense"] = self.dense.forward(sim)
+            p, state["clf"] = self.clf.forward(hid)
+            return p[:, 0]
 
         def backward(idx, dp):
-            dsim = self.dense.backward(self.clf.backward(dp[:, None]))
+            dhid = self.clf.backward(dp[:, None], state["clf"])
+            dsim = self.dense.backward(dhid, state["dense"])
             self._similarity_backward(idx, data, dsim, state)
 
         self.loop.run(len(y), forward, backward, y)
@@ -220,12 +223,15 @@ class LSTMDeepER(_DeepER):
 
     def _similarity(self, idx, data, state=None):
         """|h_a - h_b| per attribute, concatenated; ``state`` gets the sign
-        of the difference, and the encoder caches for BPTT."""
+        of the difference and the encoder's BPTT cache."""
         ids_a, mask_a, ids_b, mask_b = data
         seq_a, ma = self._stack(ids_a[idx], mask_a[idx])
         seq_b, mb = self._stack(ids_b[idx], mask_b[idx])
-        enc = self.enc if state is None else self.enc.forward
-        h = enc(np.concatenate([seq_a, seq_b]), np.concatenate([ma, mb]))
+        seq, mask = np.concatenate([seq_a, seq_b]), np.concatenate([ma, mb])
+        if state is None:
+            h = self.enc(seq, mask)
+        else:
+            h, state["enc"] = self.enc.forward(seq, mask)
         ha, hb = h.reshape(2, self.m, -1, self.out_dim)  # (m, B, out) each
         diff = ha - hb
         if state is not None:
@@ -237,4 +243,4 @@ class LSTMDeepER(_DeepER):
         m, B, k = sign.shape
         ddiff = dsim.reshape(B, m, k).transpose(1, 0, 2) * sign
         dh = ddiff.reshape(m * B, k)
-        self.enc.backward(np.concatenate([dh, -dh]))
+        self.enc.backward(np.concatenate([dh, -dh]), state["enc"])

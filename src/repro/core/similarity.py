@@ -20,7 +20,10 @@ _EPS = 1e-12
 
 def per_attribute_cosine(va: np.ndarray, vb: np.ndarray, m: int,
                          d: int) -> np.ndarray:
-    """``(n, m*d) x (n, m*d) -> (n, m)`` per-attribute cosine vector."""
+    """``(n, m*d) x (n, m*d) -> (n, m)`` per-attribute cosine vector;
+    ``ValueError`` on other shapes, whose blocks it would misread."""
+    if va.shape != vb.shape or va.shape[-1] != m * d:
+        raise ValueError(f"need two (n, {m}*{d}) DRs: {va.shape}, {vb.shape}")
     a = va.reshape(-1, m, d)
     b = vb.reshape(-1, m, d)
     num = (a * b).sum(axis=2)

@@ -230,10 +230,10 @@ SYNONYMS = {
     "display": "monitor", "screen": "monitor", "storage": "drive",
     "hoover": "vacuum", "cooker": "kettle", "automobile": "car",
     "eatery": "restaurant", "cafeteria": "cafe", "pub": "tavern",
-    "fast": "speed", "quick": "speed", "rapid": "speed",
+    "fast": "efficient", "quick": "speed", "rapid": "speed",
     "big": "large", "huge": "large", "tiny": "small", "little": "small",
     "method": "algorithm", "approach": "algorithm", "technique": "algorithm",
-    "effective": "efficient", "fast": "efficient",
+    "effective": "efficient",
     "databases": "database", "queries": "query", "systems": "system",
     "networks": "network", "models": "model", "graphs": "graph",
 }
@@ -245,7 +245,7 @@ SYNONYMS = {
 # (translation lossiness -> the mild F1 drop of Table 7).
 SPANISH = {
     "street": "calle", "avenue": "avenida", "road": "camino",
-    "drive": "paseo", "lane": "callejon", "place": "plaza",
+    "drive": "disco", "lane": "callejon", "place": "plaza",
     "square": "plaza", "plaza": "plaza", "north": "norte", "south": "sur",
     "east": "este", "west": "oeste", "main": "principal", "park": "parque",
     "lake": "lago", "hill": "colina", "river": "rio", "oak": "roble",
@@ -269,7 +269,7 @@ SPANISH = {
     "monitor": "monitor", "keyboard": "teclado", "mouse": "raton",
     "speaker": "altavoz", "headphones": "auriculares", "charger": "cargador",
     "adapter": "adaptador", "cable": "cable", "battery": "bateria",
-    "drive": "disco", "memory": "memoria", "tablet": "tableta",
+    "memory": "memoria", "tablet": "tableta",
     "wireless": "inalambrico", "portable": "portatil", "digital": "digital",
     "compact": "compacto", "professional": "profesional", "mini": "mini",
     "lightweight": "ligero", "rechargeable": "recargable",
@@ -286,7 +286,7 @@ SPANISH = {
     "similarity": "similitud", "entity": "entidad",
     "resolution": "resolucion", "matching": "emparejamiento",
     "record": "registro", "cleaning": "limpieza", "integration":
-    "integracion", "storage": "almacenamiento", "memory": "memoria",
+    "integracion", "storage": "almacenamiento",
     "graph": "grafo", "classification": "clasificacion",
     "clustering": "agrupamiento", "feature": "caracteristica",
     "selection": "seleccion", "extraction": "extraccion",

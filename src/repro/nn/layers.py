@@ -1,10 +1,10 @@
 """Dense layer, activations, and binary cross-entropy with explicit backward.
 
-Conventions: every layer exposes ``forward(x)`` returning the output and
-stashing a cache, and ``backward(dout)`` returning the gradient w.r.t. the
-input while accumulating parameter gradients in ``.grads`` (keyed like
-``.params``). Inference calls a ``Dense`` as ``layer(x)``: the same output,
-no cache, so a model keeps no scored block alive. Parameters are plain
+Conventions: a layer keeps no state between calls. ``forward(x)`` returns
+``(out, cache)``; the caller hands the cache back to ``backward(dout,
+cache)``, which returns the gradient w.r.t. the input and accumulates
+parameter gradients in ``.grads`` (keyed like ``.params``). Inference calls
+a ``Dense`` as ``layer(x)``: the same output, no cache. Parameters are plain
 numpy arrays; an Adam optimizer rebinds them and their grads to views of
 its flat buffers, so layers only ever update them in place.
 """
@@ -32,6 +32,8 @@ class Dense:
 
     def __init__(self, d_in: int, d_out: int, *, activation: str | None = None,
                  rng: np.random.Generator | None = None):
+        if activation not in (None, "sigmoid", "tanh"):
+            raise ValueError(f"unknown activation {activation!r}")
         rng = rng or np.random.default_rng(0)
         scale = np.sqrt(2.0 / (d_in + d_out))
         self.params = {
@@ -40,7 +42,6 @@ class Dense:
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.activation = activation
-        self._cache: tuple | None = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """The layer's output for ``x``, caching nothing: inference."""
@@ -49,18 +50,15 @@ class Dense:
             return sigmoid(z)
         if self.activation == "tanh":
             return np.tanh(z)
-        if self.activation is None:
-            return z
-        raise ValueError(f"unknown activation {self.activation!r}")
+        return z
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """``self(x)``, caching the input and output for ``backward``."""
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """``self(x)`` and the cache ``backward`` takes: input and output."""
         a = self(x)
-        self._cache = (x, a)
-        return a
+        return a, (x, a)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        x, a = self._cache
+    def backward(self, dout: np.ndarray, cache: tuple) -> np.ndarray:
+        x, a = cache
         if self.activation == "sigmoid":
             dz = dout * a * (1.0 - a)
         elif self.activation == "tanh":
@@ -74,11 +72,6 @@ class Dense:
     def zero_grad(self) -> None:
         for g in self.grads.values():
             g[...] = 0.0
-
-    def __getstate__(self) -> dict:
-        # A pickled layer (e.g. a model broadcast to Spark tasks) carries
-        # its parameters, not the last forward pass's batch-sized cache.
-        return {**self.__dict__, "_cache": None}
 
 
 BCE_EPS = 1e-9  # probabilities are clipped to [BCE_EPS, 1 - BCE_EPS]

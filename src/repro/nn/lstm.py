@@ -21,9 +21,9 @@ class LSTM:
     """Single-layer unidirectional LSTM returning the final hidden state.
 
     ``forward(X, mask)`` consumes ``X`` of shape ``(B, T, d)`` and returns
-    ``(B, h)``. ``backward(dh)`` returns ``dX`` of shape ``(B, T, d)`` for
-    embedding fine-tuning and accumulates parameter gradients. Inference
-    calls the encoder as ``enc(X, mask)``: the same output, no BPTT cache.
+    ``(B, h)`` with the BPTT cache, which ``backward(dh, cache)`` takes to
+    return ``dX`` of shape ``(B, T, d)`` and accumulate parameter gradients.
+    Inference calls the encoder as ``enc(X, mask)``: no step is kept.
     """
 
     def __init__(self, d_in: int, d_hidden: int, *, rng: np.random.Generator | None = None):
@@ -39,11 +39,10 @@ class LSTM:
         # not erase state (paper relies on LSTM's long-range memory).
         self.params["b"][d_hidden:2 * d_hidden] = 1.0
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self._cache = None
 
     def __call__(self, X: np.ndarray, mask: np.ndarray,
                  steps: list | None = None) -> np.ndarray:
-        """The final hidden state for ``X``. Caches nothing (inference);
+        """The final hidden state for ``X``. Keeps no step (inference);
         appends each step's BPTT inputs to ``steps`` when it is given."""
         B, T, d = X.shape
         h = self.d_hidden
@@ -68,15 +67,15 @@ class LSTM:
                 steps.append((x_t, h_prev, c_prev, i, f, o, g, tc, m))
         return h_t
 
-    def forward(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """``self(X, mask)``, caching every step for ``backward``."""
+    def forward(self, X: np.ndarray,
+                mask: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """``self(X, mask)`` and the cache ``backward`` takes: every step."""
         steps = []
         h_t = self(X, mask, steps)
-        self._cache = (X.shape, steps)
-        return h_t
+        return h_t, (X.shape, steps)
 
-    def backward(self, dh_last: np.ndarray) -> np.ndarray:
-        (B, T, d), steps = self._cache
+    def backward(self, dh_last: np.ndarray, cache: tuple) -> np.ndarray:
+        (B, T, d), steps = cache
         h = self.d_hidden
         Wx, Wh = self.params["Wx"], self.params["Wh"]
         dX = np.zeros((B, T, d))
@@ -112,11 +111,6 @@ class LSTM:
         for g in self.grads.values():
             g[...] = 0.0
 
-    def __getstate__(self) -> dict:
-        # A pickled encoder carries its parameters, not the last training
-        # batch's BPTT steps.
-        return {**self.__dict__, "_cache": None}
-
 
 def _reverse_padded(X: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Reverse each row's valid prefix, keeping right-padding in place."""
@@ -139,33 +133,31 @@ class BiLSTM:
         self.fwd = LSTM(d_in, d_hidden, rng=rng)
         self.bwd = LSTM(d_in, d_hidden, rng=rng)
         self.d_hidden = d_hidden
-        self._mask = None
 
     @property
     def modules(self):
         return [self.fwd, self.bwd]
 
     def __call__(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """The concatenated final states for ``X``, caching nothing."""
+        """The concatenated final states for ``X``: inference."""
         hf = self.fwd(X, mask)
         hb = self.bwd(_reverse_padded(X, mask), mask)
         return np.concatenate([hf, hb], axis=1)
 
-    def forward(self, X: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        self._mask = mask
-        hf = self.fwd.forward(X, mask)
-        hb = self.bwd.forward(_reverse_padded(X, mask), mask)
-        return np.concatenate([hf, hb], axis=1)
+    def forward(self, X: np.ndarray,
+                mask: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """``self(X, mask)`` and the cache ``backward`` takes."""
+        hf, cf = self.fwd.forward(X, mask)
+        hb, cb = self.bwd.forward(_reverse_padded(X, mask), mask)
+        return np.concatenate([hf, hb], axis=1), (cf, cb, mask)
 
-    def backward(self, dh: np.ndarray) -> np.ndarray:
+    def backward(self, dh: np.ndarray, cache: tuple) -> np.ndarray:
+        cf, cb, mask = cache
         h = self.d_hidden
-        dXf = self.fwd.backward(dh[:, :h])
-        dXb = self.bwd.backward(dh[:, h:])
-        return dXf + _reverse_padded(dXb, self._mask)
+        dXf = self.fwd.backward(dh[:, :h], cf)
+        dXb = self.bwd.backward(dh[:, h:], cb)
+        return dXf + _reverse_padded(dXb, mask)
 
     def zero_grad(self) -> None:
         self.fwd.zero_grad()
         self.bwd.zero_grad()
-
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "_mask": None}

@@ -156,6 +156,15 @@ class TestSimilarityOps:
         vb = np.ones((1, 4))
         assert per_attribute_cosine(va, vb, 1, 4)[0, 0] == 0.0
 
+    @pytest.mark.parametrize("va, vb, m, d", [
+        (np.ones((3, 320)), np.ones((3, 320)), 5, 32),  # reshapes to 6 rows
+        (np.ones((1, 8)), np.ones((3, 8)), 2, 4),       # broadcasts to 3
+    ], ids=["width", "sides"])
+    def test_per_attribute_cosine_rejects_mismatched_shapes(self, va, vb,
+                                                            m, d):
+        with pytest.raises(ValueError, match="need two"):
+            per_attribute_cosine(va, vb, m, d)
+
 
 class TestTokenEncoding:
     def test_shapes_and_mask(self):

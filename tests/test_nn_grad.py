@@ -41,11 +41,11 @@ class TestDenseGrad:
         w = rng.normal(size=(5, 3))  # random projection -> scalar loss
 
         def loss():
-            return float((layer.forward(x) * w).sum())
+            return float((layer.forward(x)[0] * w).sum())
 
-        loss()
+        _, cache = layer.forward(x)
         layer.zero_grad()
-        dx = layer.backward(w)
+        dx = layer.backward(w, cache)
         assert _rel_err(dx, _num_grad(loss, x)) < 1e-5
         assert _rel_err(layer.grads["W"], _num_grad(loss, layer.params["W"])) < 1e-5
         assert _rel_err(layer.grads["b"], _num_grad(loss, layer.params["b"])) < 1e-5
@@ -53,11 +53,9 @@ class TestDenseGrad:
     def test_grads_accumulate_until_zeroed(self):
         layer = Dense(2, 2)
         x = np.ones((1, 2))
-        layer.forward(x)
-        layer.backward(np.ones((1, 2)))
+        layer.backward(np.ones((1, 2)), layer.forward(x)[1])
         g1 = layer.grads["W"].copy()
-        layer.forward(x)
-        layer.backward(np.ones((1, 2)))
+        layer.backward(np.ones((1, 2)), layer.forward(x)[1])
         np.testing.assert_allclose(layer.grads["W"], 2 * g1)
         layer.zero_grad()
         assert np.all(layer.grads["W"] == 0)
@@ -80,21 +78,21 @@ class TestLSTMGrad:
         enc, X, mask, w = self._setup(cls)
 
         def loss():
-            return float((enc.forward(X, mask) * w).sum())
+            return float((enc.forward(X, mask)[0] * w).sum())
 
-        loss()
-        dX = enc.backward(w)
+        _, cache = enc.forward(X, mask)
+        dX = enc.backward(w, cache)
         assert _rel_err(dX, _num_grad(loss, X)) < 1e-5
 
     def test_param_grads_unidirectional(self):
         enc, X, mask, w = self._setup(LSTM)
 
         def loss():
-            return float((enc.forward(X, mask) * w).sum())
+            return float((enc.forward(X, mask)[0] * w).sum())
 
-        loss()
+        _, cache = enc.forward(X, mask)
         enc.zero_grad()
-        enc.backward(w)
+        enc.backward(w, cache)
         for k in ("Wx", "Wh", "b"):
             assert _rel_err(enc.grads[k], _num_grad(loss, enc.params[k])) < 1e-5, k
 
@@ -102,11 +100,11 @@ class TestLSTMGrad:
         enc, X, mask, w = self._setup(BiLSTM)
 
         def loss():
-            return float((enc.forward(X, mask) * w).sum())
+            return float((enc.forward(X, mask)[0] * w).sum())
 
-        loss()
+        _, cache = enc.forward(X, mask)
         enc.zero_grad()
-        enc.backward(w)
+        enc.backward(w, cache)
         for mod in enc.modules:
             for k in ("Wx", "Wh", "b"):
                 assert _rel_err(mod.grads[k], _num_grad(loss, mod.params[k])) < 1e-5
@@ -117,16 +115,16 @@ class TestLSTMGrad:
         X = rng.normal(size=(2, 6, 3))
         mask = np.ones((2, 6))
         mask[:, 4:] = 0
-        h1 = enc.forward(X, mask)
+        h1, _ = enc.forward(X, mask)
         X2 = X.copy()
         X2[:, 4:, :] = rng.normal(size=(2, 2, 3))  # garbage in padding
-        h2 = enc.forward(X2, mask)
+        h2, _ = enc.forward(X2, mask)
         np.testing.assert_allclose(h1, h2)
 
     def test_empty_sequence_yields_zero_state(self):
         enc = LSTM(3, 4)
         X = np.zeros((1, 3, 3))
-        h = enc.forward(X, np.zeros((1, 3)))
+        h, _ = enc.forward(X, np.zeros((1, 3)))
         np.testing.assert_allclose(h, 0.0)
 
     def test_bilstm_reversal_symmetry(self):
@@ -139,7 +137,7 @@ class TestLSTMGrad:
             enc.bwd.params[k][...] = enc.fwd.params[k]
         x = rng.normal(size=(1, 1, 3))
         seq = np.concatenate([x, x, x], axis=1)
-        h = enc.forward(seq, np.ones((1, 3)))
+        h, _ = enc.forward(seq, np.ones((1, 3)))
         np.testing.assert_allclose(h[:, :4], h[:, 4:])
 
 

