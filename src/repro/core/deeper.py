@@ -22,7 +22,7 @@ import multiprocessing as mp
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -40,20 +40,24 @@ from repro.er_data.datasets import ERDataset
 class DeepERConfig:
     """Paper defaults (§5.1), with sizes scaled per DESIGN.md §5.
 
+    The training recipe that no run varies (the similarity-layer width
+    ``hidden``, Adam's ``lr`` and the ``batch`` size) is constant.
+
     Raises ``ValueError`` for a composition with no model, for
     ``update_embeddings`` with an LSTM composition (only the AVG model
-    trains its embeddings), and for ``folds < 2`` or ``epochs < 1``, which
-    would score an untrained model."""
+    trains its embeddings), for ``folds < 2`` or ``epochs < 1``, which
+    would score an untrained model, for ``neg_ratio < 1``, which samples
+    no negatives, and for ``d < 1``, which has no embedding to compose."""
 
     composition: str = "avg"        # avg | lstm | bilstm
     dictionary: str = "glove840"
     d: int = 64                     # paper: 300
     update_embeddings: bool = False  # Figure 8 "Update"
     use_retrofit: bool = False      # §3.2 vocabulary retrofitting
-    hidden: int = 24                # paper similarity layer: 50
+    hidden: ClassVar[int] = 24      # paper similarity layer: 50
     epochs: int = 20
-    batch: int = 16
-    lr: float = 0.01
+    batch: ClassVar[int] = 16
+    lr: ClassVar[float] = 0.01
     neg_ratio: int = 10             # paper: 1:100 (Table 4) / 1:4 (§5.3)
     folds: int = 3                  # paper: 5
     seed: int = 0
@@ -65,10 +69,11 @@ class DeepERConfig:
             raise ValueError("update_embeddings=True needs composition='avg'; "
                              f"the {self.composition} model keeps its "
                              "embeddings static")
-        if self.folds < 2:
-            raise ValueError(f"folds must be >= 2, got {self.folds}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        for name, low in (("folds", 2), ("epochs", 1), ("neg_ratio", 1),
+                          ("d", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, "
+                                 f"got {getattr(self, name)}")
 
 
 class Prepared(NamedTuple):

@@ -37,30 +37,38 @@ class _Embedding:
         self.params = {"E": matrix.astype(np.float64).copy()}
         self.grads = {"E": np.zeros_like(self.params["E"])}
 
-    def zero_grad(self):
-        self.grads["E"][...] = 0.0
-
 
 def _masked_mean(E: np.ndarray, ids: np.ndarray, mask: np.ndarray):
-    """(B,T) ids -> (B,d) mean of valid token vectors; returns cache."""
-    X = E[ids]                                # (B, T, d)
-    cnt = np.clip(mask.sum(axis=1, keepdims=True), 1.0, None)  # (B,1)
-    u = (X * mask[:, :, None]).sum(axis=1) / cnt
+    """(..., T) ids -> (..., d) mean of valid token vectors; returns cache.
+    The gathered vectors are masked in place, so a call holds one
+    ``(..., T, d)`` array, not two."""
+    X = E[ids]                                # (..., T, d)
+    cnt = np.clip(mask.sum(axis=-1, keepdims=True), 1.0, None)  # (..., 1)
+    X *= mask[..., None]
+    u = X.sum(axis=-2) / cnt
     return u, cnt
 
 
 def _cosine_fwd(u: np.ndarray, v: np.ndarray):
-    nu = np.linalg.norm(u, axis=1) + _EPS
-    nv = np.linalg.norm(v, axis=1) + _EPS
-    cos = (u * v).sum(axis=1) / (nu * nv)
+    nu = np.linalg.norm(u, axis=-1) + _EPS
+    nv = np.linalg.norm(v, axis=-1) + _EPS
+    cos = (u * v).sum(axis=-1) / (nu * nv)
     return cos, (u, v, nu, nv, cos)
 
 
 def _cosine_bwd(dcos: np.ndarray, cache):
     u, v, nu, nv, cos = cache
-    du = dcos[:, None] * (v / (nu * nv)[:, None] - (cos / nu**2)[:, None] * u)
-    dv = dcos[:, None] * (u / (nu * nv)[:, None] - (cos / nv**2)[:, None] * v)
+    du = dcos[..., None] * (v / (nu * nv)[..., None]
+                            - (cos / nu**2)[..., None] * u)
+    dv = dcos[..., None] * (u / (nu * nv)[..., None]
+                            - (cos / nv**2)[..., None] * v)
     return du, dv
+
+
+def _attr_major(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The A and B sides ``(B, m, ...)`` as one C-ordered ``(m, 2, B, ...)``
+    array: in that order a reshape is a view, not a strided copy."""
+    return np.ascontiguousarray(np.moveaxis(np.stack([a, b]), 2, 0))
 
 
 class _DeepER:
@@ -147,40 +155,38 @@ class AvgDeepEREndToEnd(_DeepER):
 
     def __init__(self, m: int, emb_matrix: np.ndarray, *, hidden: int,
                  lr: float, epochs: int, batch: int, seed: int):
-        self.m = m
         self.emb = _Embedding(emb_matrix)
         super().__init__(m, np.random.default_rng(seed), [], hidden=hidden,
                          lr=lr, epochs=epochs, batch=batch, seed=seed)
         self.emb_opt = Adam([self.emb], lr=EMB_LR, weight_decay=0.0)
 
     def _similarity(self, idx, data, state=None):
-        """Per attribute, the cosine of the two sides' masked token means."""
+        """Per attribute, the cosine of the two sides' masked token means,
+        all ``m`` attributes of the batch in one pass."""
         ids_a, mask_a, ids_b, mask_b = data
         E = self.emb.params["E"]
-        cols = []
+        u, cu = _masked_mean(E, ids_a[idx], mask_a[idx])  # (B, m, d)
+        v, cv = _masked_mean(E, ids_b[idx], mask_b[idx])
+        cos, cc = _cosine_fwd(u, v)                       # (B, m)
         if state is not None:
-            state["caches"] = []
-        for j in range(self.m):
-            u, cu = _masked_mean(E, ids_a[idx, j], mask_a[idx, j])
-            v, cv = _masked_mean(E, ids_b[idx, j], mask_b[idx, j])
-            cos, cc = _cosine_fwd(u, v)
-            cols.append(cos)
-            if state is not None:
-                state["caches"].append((cc, cu, cv))
-        return np.column_stack(cols)
+            state["cache"] = (cc, cu, cv)
+        return cos
 
     def _similarity_backward(self, idx, data, dsim, state) -> None:
         """Scatter the mean-gradients into the embedding rows, then take one
-        embedding Adam step."""
+        embedding Adam step. The scatter adds attribute by attribute, A
+        side before B side: rows shared across attributes and sides sum in
+        that order, which fixes the fitted bits."""
         ids_a, mask_a, ids_b, mask_b = data
-        self.emb.zero_grad()
+        cc, cu, cv = state["cache"]
+        du, dv = _cosine_bwd(dsim, cc)
+        ids = _attr_major(ids_a[idx], ids_b[idx])    # (m, 2, B, T)
+        mask = _attr_major(mask_a[idx], mask_b[idx])
+        dmean = _attr_major(du / cu, dv / cv)         # (m, 2, B, d)
+        self.emb_opt.zero_grad()
         dE = self.emb.grads["E"]
-        for j, (cc, cu, cv) in enumerate(state["caches"]):
-            du, dv = _cosine_bwd(dsim[:, j], cc)
-            ga = (du / cu)[:, None, :] * mask_a[idx, j][:, :, None]
-            gb = (dv / cv)[:, None, :] * mask_b[idx, j][:, :, None]
-            np.add.at(dE, ids_a[idx, j].ravel(), ga.reshape(-1, dE.shape[1]))
-            np.add.at(dE, ids_b[idx, j].ravel(), gb.reshape(-1, dE.shape[1]))
+        np.add.at(dE, ids.ravel(), (dmean[..., None, :] * mask[..., None])
+                  .reshape(-1, dE.shape[1]))
         dE[0, :] = 0.0  # UNK stays fixed
         self.emb_opt.step()
 

@@ -25,6 +25,9 @@ for s, canon in lx.SYNONYMS.items():
     _REV_SYN.setdefault(canon, []).append(s)
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+# attributes that are never NULL in the wild (titles, names): corrupted
+# normally but exempt from drop_attr
+NEVER_NULL = ("title", "name")
 
 
 @dataclass(frozen=True)
@@ -39,14 +42,10 @@ class NoiseConfig:
     extra_token: float = 0.0   # insert a distractor token
     reorder: float = 0.0       # shuffle an attribute's word order
     drop_attr: float = 0.0     # NULL out an attribute
-    protect: tuple[str, ...] = ()  # attributes never corrupted (keys/ids)
     # structured attributes that are frequently missing in real catalogs
     # (extraction failures): nulled at drop_attr_heavy instead of drop_attr
     null_heavy: tuple[str, ...] = ()
     drop_attr_heavy: float = 0.0
-    # attributes that are never NULL in the wild (titles, names): corrupted
-    # normally but exempt from drop_attr
-    never_null: tuple[str, ...] = ("title", "name")
 
 
 TRIVIAL = NoiseConfig(typo=0.005, abbrev=0.08, nickname=0.05)
@@ -126,13 +125,12 @@ def corrupt_value(value: str, cfg: NoiseConfig, rng: np.random.Generator) -> str
 
 def corrupt_row(row: dict, attrs: list[str], cfg: NoiseConfig,
                 rng: np.random.Generator) -> dict:
-    """Corrupt a record: per-attribute NULLing plus token-level noise."""
+    """Corrupt the ``attrs`` of a record: per-attribute NULLing plus
+    token-level noise. Every other field (the id) is copied unchanged."""
     out = dict(row)
     for a in attrs:
-        if a in cfg.protect:
-            continue
         rate = cfg.drop_attr_heavy if a in cfg.null_heavy else cfg.drop_attr
-        if a in cfg.never_null:
+        if a in NEVER_NULL:
             rate = 0.0
         if rng.random() < rate:
             out[a] = None

@@ -69,10 +69,6 @@ class Dense:
         self.grads["b"] += dz.sum(axis=0)
         return dz @ self.params["W"].T
 
-    def zero_grad(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
-
 
 BCE_EPS = 1e-9  # probabilities are clipped to [BCE_EPS, 1 - BCE_EPS]
 

@@ -107,10 +107,6 @@ class LSTM:
             dc = dc_raw * f + (1.0 - m) * dc
         return dX
 
-    def zero_grad(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
-
 
 def _reverse_padded(X: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Reverse each row's valid prefix, keeping right-padding in place."""
@@ -157,7 +153,3 @@ class BiLSTM:
         dXf = self.fwd.backward(dh[:, :h], cf)
         dXb = self.bwd.backward(dh[:, h:], cb)
         return dXf + _reverse_padded(dXb, mask)
-
-    def zero_grad(self) -> None:
-        self.fwd.zero_grad()
-        self.bwd.zero_grad()

@@ -2,7 +2,7 @@
 baseline — the machinery behind every evaluation table."""
 import multiprocessing as mp
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -220,13 +220,25 @@ class TestPipelineEndToEnd:
         with pytest.raises(ValueError, match="update_embeddings"):
             replace(SMALL, composition=composition, update_embeddings=True)
 
-    @pytest.mark.parametrize("field", ["folds", "epochs"])
+    @pytest.mark.parametrize("field", ["folds", "epochs", "neg_ratio", "d"])
     def test_setting_that_leaves_the_model_untrained_raises(self, field):
-        """One fold has no training split, and zero epochs no step: either
-        would score an untrained model as if it were a result."""
-        bad = {"folds": 1, "epochs": 0}[field]
+        """One fold has no training split, zero epochs no step, no negatives
+        an all-match pair set (Magellan-lite scores it F1 1.0), and zero
+        dimensions no tuple representation: each would score a model that
+        learnt nothing as if it were a result."""
+        bad = {"folds": 1, "epochs": 0, "neg_ratio": 0, "d": 0}[field]
         with pytest.raises(ValueError, match=f"{field} must be >= "):
             replace(SMALL, **{field: bad})
+
+    def test_config_declares_only_what_runs_vary(self):
+        """The training recipe no run varies is constant: the similarity
+        layer's width, Adam's rate and the batch size are not fields."""
+        assert [f.name for f in fields(DeepERConfig)] == [
+            "composition", "dictionary", "d", "update_embeddings",
+            "use_retrofit", "epochs", "neg_ratio", "folds", "seed"]
+        assert (SMALL.hidden, SMALL.lr, SMALL.batch) == (24, 0.01, 16)
+        with pytest.raises(TypeError, match="hidden"):
+            DeepERConfig(hidden=50)
 
     @pytest.mark.parametrize("evaluate", [evaluate_deeper, evaluate_magellan])
     def test_empty_match_set_raises_naming_dataset(self, evaluate):

@@ -125,10 +125,10 @@ class TestCorruptChannel:
         assert corrupt_value("wireless keyboard xr200", cfg, rng) == \
             "wireless keyboard xr200"
 
-    def test_protect_attrs_untouched(self):
+    def test_corrupt_row_touches_only_the_attrs_it_is_given(self):
         rng = np.random.default_rng(0)
-        cfg = NoiseConfig(typo=1.0, protect=("id",))
-        row = corrupt_row({"id": "a0001", "x": "hello world"}, ["id", "x"],
+        cfg = NoiseConfig(typo=1.0)
+        row = corrupt_row({"id": "a0001", "x": "hello world"}, ["x"],
                           cfg, rng)
         assert row["id"] == "a0001"
         assert row["x"] != "hello world"

@@ -7,7 +7,7 @@ an untrainable DeepER model, so these are the foundation tests.
 import numpy as np
 import pytest
 
-from repro.nn import LSTM, BiLSTM, Dense, sigmoid
+from repro.nn import LSTM, Adam, BiLSTM, Dense, sigmoid
 from repro.nn.layers import BCE_EPS, bce_grad
 
 
@@ -44,7 +44,6 @@ class TestDenseGrad:
             return float((layer.forward(x)[0] * w).sum())
 
         _, cache = layer.forward(x)
-        layer.zero_grad()
         dx = layer.backward(w, cache)
         assert _rel_err(dx, _num_grad(loss, x)) < 1e-5
         assert _rel_err(layer.grads["W"], _num_grad(loss, layer.params["W"])) < 1e-5
@@ -52,12 +51,13 @@ class TestDenseGrad:
 
     def test_grads_accumulate_until_zeroed(self):
         layer = Dense(2, 2)
+        opt = Adam([layer])
         x = np.ones((1, 2))
         layer.backward(np.ones((1, 2)), layer.forward(x)[1])
         g1 = layer.grads["W"].copy()
         layer.backward(np.ones((1, 2)), layer.forward(x)[1])
         np.testing.assert_allclose(layer.grads["W"], 2 * g1)
-        layer.zero_grad()
+        opt.zero_grad()
         assert np.all(layer.grads["W"] == 0)
 
 
@@ -91,7 +91,6 @@ class TestLSTMGrad:
             return float((enc.forward(X, mask)[0] * w).sum())
 
         _, cache = enc.forward(X, mask)
-        enc.zero_grad()
         enc.backward(w, cache)
         for k in ("Wx", "Wh", "b"):
             assert _rel_err(enc.grads[k], _num_grad(loss, enc.params[k])) < 1e-5, k
@@ -103,7 +102,6 @@ class TestLSTMGrad:
             return float((enc.forward(X, mask)[0] * w).sum())
 
         _, cache = enc.forward(X, mask)
-        enc.zero_grad()
         enc.backward(w, cache)
         for mod in enc.modules:
             for k in ("Wx", "Wh", "b"):

@@ -42,9 +42,6 @@ def test_adam_descends_quadratic():
             self.params = {"x": np.array([5.0, -3.0])}
             self.grads = {"x": np.zeros(2)}
 
-        def zero_grad(self):
-            self.grads["x"][...] = 0.0
-
     q = Quad()
     opt = Adam([q], lr=0.1, weight_decay=0.0)
     for _ in range(500):
@@ -125,7 +122,8 @@ class _RefAdam:
 
     def zero_grad(self):
         for mod in self.modules:
-            mod.zero_grad()
+            for g in mod.grads.values():
+                g[...] = 0.0
 
     def step(self):
         self.t += 1
@@ -229,6 +227,84 @@ def test_end_to_end_with_embedding_updates_equals_reference():
         lambda: AvgDeepEREndToEnd(2, emb, **dict(RECIPE, hidden=6, epochs=2,
                                                   batch=8)),
         lambda mdl: mdl.fit(*data))
+    _assert_same_params(ref, new)
+    assert not np.array_equal(new.emb.params["E"], emb)  # embeddings moved
+    assert np.array_equal(ref.predict_proba(*data[:4]),
+                          new.predict_proba(*data[:4]))
+
+
+def _ref_masked_mean(E, ids, mask):
+    """(B,T) ids -> (B,d) mean of valid token vectors; returns cache."""
+    X = E[ids]                                # (B, T, d)
+    cnt = np.clip(mask.sum(axis=1, keepdims=True), 1.0, None)  # (B,1)
+    u = (X * mask[:, :, None]).sum(axis=1) / cnt
+    return u, cnt
+
+
+def _ref_cosine_fwd(u, v):
+    nu = np.linalg.norm(u, axis=1) + model_mod._EPS
+    nv = np.linalg.norm(v, axis=1) + model_mod._EPS
+    cos = (u * v).sum(axis=1) / (nu * nv)
+    return cos, (u, v, nu, nv, cos)
+
+
+def _ref_cosine_bwd(dcos, cache):
+    u, v, nu, nv, cos = cache
+    du = dcos[:, None] * (v / (nu * nv)[:, None] - (cos / nu**2)[:, None] * u)
+    dv = dcos[:, None] * (u / (nu * nv)[:, None] - (cos / nv**2)[:, None] * v)
+    return du, dv
+
+
+class _RefAvgDeepEREndToEnd(AvgDeepEREndToEnd):
+    """The per-attribute similarity layer that the batched one replaced,
+    kept as the reference its results must equal bit for bit."""
+
+    def __init__(self, m, emb_matrix, **kw):
+        self.m = m
+        super().__init__(m, emb_matrix, **kw)
+
+    def _similarity(self, idx, data, state=None):
+        ids_a, mask_a, ids_b, mask_b = data
+        E = self.emb.params["E"]
+        cols = []
+        if state is not None:
+            state["caches"] = []
+        for j in range(self.m):
+            u, cu = _ref_masked_mean(E, ids_a[idx, j], mask_a[idx, j])
+            v, cv = _ref_masked_mean(E, ids_b[idx, j], mask_b[idx, j])
+            cos, cc = _ref_cosine_fwd(u, v)
+            cols.append(cos)
+            if state is not None:
+                state["caches"].append((cc, cu, cv))
+        return np.column_stack(cols)
+
+    def _similarity_backward(self, idx, data, dsim, state) -> None:
+        ids_a, mask_a, ids_b, mask_b = data
+        dE = self.emb.grads["E"]
+        dE[...] = 0.0
+        for j, (cc, cu, cv) in enumerate(state["caches"]):
+            du, dv = _ref_cosine_bwd(dsim[:, j], cc)
+            ga = (du / cu)[:, None, :] * mask_a[idx, j][:, :, None]
+            gb = (dv / cv)[:, None, :] * mask_b[idx, j][:, :, None]
+            np.add.at(dE, ids_a[idx, j].ravel(), ga.reshape(-1, dE.shape[1]))
+            np.add.at(dE, ids_b[idx, j].ravel(), gb.reshape(-1, dE.shape[1]))
+        dE[0, :] = 0.0  # UNK stays fixed
+        self.emb_opt.step()
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 17])
+def test_batched_end_to_end_equals_per_attribute_reference(m):
+    """All attributes in one pass fit the same bits as the loop over them.
+
+    Six token ids over ``m`` attributes and both sides make every batch
+    scatter into shared embedding rows, so the order in which the
+    scatter adds the attributes and sides shows in the fitted bits."""
+    data = _token_data(np.random.default_rng(0), m=m, T=5, vocab=6)
+    emb = np.random.default_rng(9).normal(size=(6, 4))
+    models = [cls(m, emb, **dict(RECIPE, hidden=5, epochs=2, batch=8))
+              .fit(*data) for cls in (_RefAvgDeepEREndToEnd,
+                                      AvgDeepEREndToEnd)]
+    ref, new = models
     _assert_same_params(ref, new)
     assert not np.array_equal(new.emb.params["E"], emb)  # embeddings moved
     assert np.array_equal(ref.predict_proba(*data[:4]),
@@ -354,10 +430,6 @@ class _Vector:
     def __init__(self):
         self.params = {"x": np.array([5.0, -3.0, 0.5]), "y": np.array([2.0])}
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-
-    def zero_grad(self):
-        for g in self.grads.values():
-            g[...] = 0.0
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])

@@ -1,12 +1,15 @@
 """The library surface the benchmark harness reads stays in place.
 
 The harness's own self-test (``perfbench/test_perfbench.py``) takes over a
-minute, so this sub-second check guards the names it imports and the
-methods ``traced_library`` wraps: importing its ``pipeline`` module fails
-if a name it imports is gone, and leaving ``traced_library`` must restore
-every attribute it patched.
+minute, so these sub-second checks guard the names it imports, the config
+attributes it reads and the methods ``traced_library`` wraps: importing
+its ``pipeline`` module fails if a name it imports is gone, every
+``cfg.<name>`` it reads must exist on the config it builds, and leaving
+``traced_library`` must restore every attribute it patched.
 """
+import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -47,3 +50,15 @@ def test_traced_library_restores_every_patched_attribute(perfbench):
     after = [getattr(obj, attr) for obj, attr in patched]
     assert all(a is not b for a, b in zip(inside, before))
     assert all(a is b for a, b in zip(after, before))
+
+
+def test_every_config_attribute_the_harness_reads_exists():
+    """The harness runs ``replace(BASE_CFG, seed=...)``: a config field it
+    reads that is renamed or removed fails here, not only at bench time."""
+    from repro.experiments import BASE_CFG
+
+    cfg = replace(BASE_CFG, seed=3)
+    read = {name for path in PERFBENCH.glob("*.py")
+            for name in re.findall(r"cfg\.(\w+)", path.read_text())}
+    assert "seed" in read  # the scan sees the harness's reads
+    assert [name for name in sorted(read) if not hasattr(cfg, name)] == []
