@@ -15,6 +15,7 @@ import numpy as np
 import pandas as pd
 
 from repro.er_data.datasets import ERDataset
+from repro.er_data.entities import _pick
 
 ORGANISMS = [
     "homo sapiens", "mus musculus", "rattus norvegicus", "danio rerio",
@@ -26,6 +27,7 @@ ORGANISMS = [
 ]
 
 _BASES = np.array(list("acgt"))
+_GENE_LETTERS = list("abcdehklmnprst")
 
 _DESC_WORDS = ["partial", "complete", "coding", "sequence", "mrna", "gene",
                "chromosome", "clone", "isolate", "strain", "variant",
@@ -63,12 +65,12 @@ def load_bio(*, n_a: int = 420, n_b: int = 420, n_matches: int = 180,
     rng = np.random.default_rng(seed + 777)
 
     def gene_name():
-        return f"{''.join(rng.choice(list('abcdehklmnprst'), size=3))}{rng.integers(1, 99)}"
+        return f"{''.join(rng.choice(_GENE_LETTERS, size=3))}{rng.integers(1, 99)}"
 
     def record():
         seq = "".join(rng.choice(_BASES, size=SEQ_LEN))
         return {
-            "organism": str(rng.choice(ORGANISMS)),
+            "organism": _pick(rng, ORGANISMS),
             "gene": gene_name(),
             "description": " ".join(rng.choice(_DESC_WORDS, size=5,
                                                replace=False)),

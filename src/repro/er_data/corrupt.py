@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.embeddings import lexicon as lx
+from repro.er_data.entities import _pick
 
 # reverse maps: canonical -> possible surface replacements
 _REV_NICK: dict[str, list[str]] = {}
@@ -24,7 +25,8 @@ _REV_SYN: dict[str, list[str]] = {}
 for s, canon in lx.SYNONYMS.items():
     _REV_SYN.setdefault(canon, []).append(s)
 
-_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+_ALPHABET = list("abcdefghijklmnopqrstuvwxyz")
+_EXTRA_TOKENS = lx.PRODUCT_ADJS + lx.TOPIC_WORDS  # inserted distractors
 # attributes that are never NULL in the wild (titles, names): corrupted
 # normally but exempt from drop_attr
 NEVER_NULL = ("title", "name")
@@ -91,7 +93,7 @@ def _typo(word: str, rng: np.random.Generator) -> str:
         return word[:i] + word[i + 1:]
     if op == 1:  # transpose
         return word[:i] + word[i + 1] + word[i] + word[i + 2:] if i + 1 < len(word) else word
-    return word[:i] + rng.choice(list(_ALPHABET)) + word[i + 1:]  # substitute
+    return word[:i] + _pick(rng, _ALPHABET) + word[i + 1:]  # substitute
 
 
 def corrupt_value(value: str, cfg: NoiseConfig, rng: np.random.Generator) -> str:
@@ -103,18 +105,18 @@ def corrupt_value(value: str, cfg: NoiseConfig, rng: np.random.Generator) -> str
     for t in tokens:
         low = t.lower()
         if low in _REV_NICK and rng.random() < cfg.nickname:
-            t = str(rng.choice(_REV_NICK[low]))
+            t = _pick(rng, _REV_NICK[low])
         elif low in _REV_ABBREV and rng.random() < cfg.abbrev:
-            t = str(rng.choice(_REV_ABBREV[low]))
+            t = _pick(rng, _REV_ABBREV[low])
         elif low in _REV_SYN and rng.random() < cfg.synonym:
-            t = str(rng.choice(_REV_SYN[low]))
+            t = _pick(rng, _REV_SYN[low])
         elif rng.random() < cfg.typo:
             t = _typo(t, rng)
         if rng.random() < cfg.drop_token and len(tokens) > 1:
             continue
         out.append(t)
         if rng.random() < cfg.extra_token:
-            out.append(str(rng.choice(lx.PRODUCT_ADJS + lx.TOPIC_WORDS)))
+            out.append(_pick(rng, _EXTRA_TOKENS))
     if not out:
         out = tokens[:1]
     if len(out) > 2 and rng.random() < cfg.reorder:

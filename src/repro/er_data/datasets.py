@@ -21,6 +21,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.er_data import corrupt as cr
 from repro.er_data import entities as ent
+from repro.er_data.entities import _pick
 
 
 @dataclass
@@ -102,6 +103,8 @@ _GEN = {
 
 # Attribute whose token swap turns a record into a guaranteed non-match.
 _KEY_ATTR = {"citation": "title", "product": "title", "restaurant": "name"}
+# letters of a near miss's fresh model number, unlike any _model_number's
+_MODEL_HEADS, _MODEL_TAILS = list("qzxv"), list("kmpt")
 
 
 def _near_miss(row: dict, attrs: list[str], domain: str,
@@ -113,16 +116,16 @@ def _near_miss(row: dict, attrs: list[str], domain: str,
     toks = str(out[key]).split()
     if domain == "product":
         # swap the model number (last token) and one adjective
-        toks[-1] = f"{rng.choice(list('qzxv'))}{rng.choice(list('kmpt'))}{rng.integers(100, 999)}"
+        toks[-1] = f"{_pick(rng, _MODEL_HEADS)}{_pick(rng, _MODEL_TAILS)}{rng.integers(100, 999)}"
         if len(toks) > 3:
             i = int(rng.integers(1, len(toks) - 2))
-            toks[i] = str(rng.choice(ent.lx.PRODUCT_ADJS))
+            toks[i] = _pick(rng, ent.lx.PRODUCT_ADJS)
     else:
         # replace ~half the words so it is a different title/name
         n_swap = max(1, len(toks) // 2)
         pool = ent.lx.TOPIC_WORDS if domain == "citation" else ent.lx.RESTAURANT_WORDS
         for i in rng.choice(len(toks), size=min(n_swap, len(toks)), replace=False):
-            toks[int(i)] = str(rng.choice(pool))
+            toks[int(i)] = _pick(rng, pool)
     out[key] = " ".join(toks)
     if domain == "citation" and "year" in out:
         out["year"] = str(int(out["year"]) + int(rng.integers(1, 4)))
@@ -146,7 +149,7 @@ def _near_miss(row: dict, attrs: list[str], domain: str,
         if "description" in out:
             dt = str(out["description"]).split()
             for i in rng.choice(len(dt), size=min(3, len(dt)), replace=False):
-                dt[int(i)] = str(rng.choice(ent.lx.PRODUCT_ADJS))
+                dt[int(i)] = _pick(rng, ent.lx.PRODUCT_ADJS)
             out["description"] = " ".join(dt)
         _resample_source_ids(out, rng)
     return out
@@ -162,7 +165,7 @@ def _resample_source_ids(row: dict, rng: np.random.Generator) -> None:
         row["upc"] = f"{rng.integers(100_000_000, 999_999_999)}"
     if "model" in row and rng.random() < 0.5:
         # stores frequently list variant model codes
-        row["model"] = str(row["model"]) + str(rng.choice(["a", "b", "x"]))
+        row["model"] = str(row["model"]) + _pick(rng, ["a", "b", "x"])
 
 
 def load(key: str, *, seed: int = 0, scale: float = 1.0) -> ERDataset:

@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from repro.er_data import load
+from repro.er_data import DATASET_KEYS, load
 from repro.er_data.bio import load_bio
 
 
@@ -61,3 +61,24 @@ def test_load_output_is_pinned(key, seed, scale):
 
 def test_load_bio_output_is_pinned():
     assert _digest(load_bio()) == BIO_DIGEST
+
+
+def _non_str_cells(ds) -> dict[str, int]:
+    """Per column, the count of non-NULL cells that are not a built-in
+    ``str`` (a numpy scalar such as ``np.str_`` prints alike but is not)."""
+    bad = {}
+    for side, table in (("A", ds.table_a), ("B", ds.table_b)):
+        for col in table.columns:
+            n = sum(v is not None and type(v) is not str for v in table[col])
+            if n:
+                bad[f"{side}.{col}"] = n
+    return bad
+
+
+@pytest.mark.parametrize("key", DATASET_KEYS)
+def test_every_load_cell_is_a_str_or_null(key):
+    assert _non_str_cells(load(key, scale=0.3)) == {}
+
+
+def test_every_load_bio_cell_is_a_str_or_null():
+    assert _non_str_cells(load_bio(n_a=120, n_b=120, n_matches=50)) == {}
