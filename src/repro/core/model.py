@@ -152,6 +152,7 @@ class AvgDeepEREndToEnd(_DeepER):
     """
 
     _block = 512
+    _gather = 32  # scored pairs whose (m, T, d) token vectors are gathered at once
 
     def __init__(self, m: int, emb_matrix: np.ndarray, *, hidden: int,
                  lr: float, epochs: int, batch: int, seed: int):
@@ -162,14 +163,23 @@ class AvgDeepEREndToEnd(_DeepER):
 
     def _similarity(self, idx, data, state=None):
         """Per attribute, the cosine of the two sides' masked token means,
-        all ``m`` attributes of the batch in one pass."""
-        ids_a, mask_a, ids_b, mask_b = data
+        all ``m`` attributes of the batch in one pass. Scoring computes the
+        same rows ``_gather`` pairs at a time, so a ``_block`` never holds
+        its whole ``(B, m, T, d)`` gather."""
+        ids_a, mask_a, ids_b, mask_b = (x[idx] for x in data)
         E = self.emb.params["E"]
-        u, cu = _masked_mean(E, ids_a[idx], mask_a[idx])  # (B, m, d)
-        v, cv = _masked_mean(E, ids_b[idx], mask_b[idx])
-        cos, cc = _cosine_fwd(u, v)                       # (B, m)
-        if state is not None:
-            state["cache"] = (cc, cu, cv)
+        if state is None:
+            cos = np.empty(ids_a.shape[:2])
+            for s in range(0, len(cos), self._gather):
+                sub = slice(s, s + self._gather)
+                cos[sub] = _cosine_fwd(
+                    _masked_mean(E, ids_a[sub], mask_a[sub])[0],
+                    _masked_mean(E, ids_b[sub], mask_b[sub])[0])[0]
+            return cos
+        u, cu = _masked_mean(E, ids_a, mask_a)  # (B, m, d)
+        v, cv = _masked_mean(E, ids_b, mask_b)
+        cos, cc = _cosine_fwd(u, v)             # (B, m)
+        state["cache"] = (cc, cu, cv)
         return cos
 
     def _similarity_backward(self, idx, data, dsim, state) -> None:

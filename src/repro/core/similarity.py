@@ -18,17 +18,32 @@ import numpy as np
 _EPS = 1e-12
 
 
+_ROWS = 256  # pairs per per_attribute_cosine block: its temporaries stay small
+
+
+def _attribute_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(n, m, d) x (n, m, d) -> (n, m)``; the norms are the values
+    ``np.linalg.norm(·, axis=2)`` gives for real input."""
+    num = (a * b).sum(axis=2)
+    den = np.sqrt((a * a).sum(axis=2)) * np.sqrt((b * b).sum(axis=2)) + _EPS
+    return num / den
+
+
 def per_attribute_cosine(va: np.ndarray, vb: np.ndarray, m: int,
                          d: int) -> np.ndarray:
     """``(n, m*d) x (n, m*d) -> (n, m)`` per-attribute cosine vector;
-    ``ValueError`` on other shapes, whose blocks it would misread."""
+    ``ValueError`` on other shapes, whose blocks it would misread.
+
+    Computed ``_ROWS`` pairs at a time into one output array; a row's
+    value does not depend on the block it falls in."""
     if va.shape != vb.shape or va.shape[-1] != m * d:
         raise ValueError(f"need two (n, {m}*{d}) DRs: {va.shape}, {vb.shape}")
     a = va.reshape(-1, m, d)
     b = vb.reshape(-1, m, d)
-    num = (a * b).sum(axis=2)
-    den = np.linalg.norm(a, axis=2) * np.linalg.norm(b, axis=2) + _EPS
-    return num / den
+    out = np.empty((len(a), m), _attribute_cosines(a[:1], b[:1]).dtype)
+    for s in range(0, len(a), _ROWS):
+        out[s:s + _ROWS] = _attribute_cosines(a[s:s + _ROWS], b[s:s + _ROWS])
+    return out
 
 
 def tuple_cosine(va: np.ndarray, vb: np.ndarray,

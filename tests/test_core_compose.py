@@ -156,6 +156,24 @@ class TestSimilarityOps:
         vb = np.ones((1, 4))
         assert per_attribute_cosine(va, vb, 1, 4)[0, 0] == 0.0
 
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 8192, 20000])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_per_attribute_cosine_blocks_equal_one_pass(self, n, dtype):
+        """The blocked computation is bit-identical to the one-pass
+        formula with ``np.linalg.norm``, NULL (all-zero) blocks included,
+        whether ``n`` is below, at or past a block boundary."""
+        m, d = 5, 16
+        rng = np.random.default_rng(n)
+        va, vb = (rng.normal(size=(n, m * d)).astype(dtype) for _ in "ab")
+        va[rng.random(n) < 0.2, :d] = 0.0
+        vb[:, 2 * d:3 * d][rng.random(n) < 0.3] = 0.0
+        a, b = va.reshape(-1, m, d), vb.reshape(-1, m, d)
+        want = (a * b).sum(axis=2) / (np.linalg.norm(a, axis=2)
+                                      * np.linalg.norm(b, axis=2) + 1e-12)
+        got = per_attribute_cosine(va, vb, m, d)
+        assert got.dtype == want.dtype and got.shape == (n, m)
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("va, vb, m, d", [
         (np.ones((3, 320)), np.ones((3, 320)), 5, 32),  # reshapes to 6 rows
         (np.ones((1, 8)), np.ones((3, 8)), 2, 4),       # broadcasts to 3

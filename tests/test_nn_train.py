@@ -311,6 +311,19 @@ def test_batched_end_to_end_equals_per_attribute_reference(m):
                           new.predict_proba(*data[:4]))
 
 
+def test_end_to_end_scoring_by_gathers_equals_whole_blocks():
+    """Scoring gathers ``_gather`` pairs' token vectors at a time; the
+    probabilities equal those of one gather per ``_block``, across both
+    boundaries (1,100 pairs: two full blocks and a partial one)."""
+    data = _token_data(np.random.default_rng(4), n=1100, m=3, T=5, vocab=30)
+    emb = np.random.default_rng(5).normal(size=(30, 4))
+    model = AvgDeepEREndToEnd(3, emb, **dict(RECIPE, hidden=5, epochs=1,
+                                             batch=64)).fit(*data)
+    got = model.predict_proba(*data[:4])
+    model._gather = model._block
+    assert np.array_equal(got, model.predict_proba(*data[:4]))
+
+
 @pytest.mark.parametrize("bidirectional", [False, True])
 def test_lstm_deeper_equals_reference(bidirectional):
     data = _token_data(np.random.default_rng(6))
