@@ -16,8 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 _EPS = 1e-12
-
-
 _ROWS = 256  # pairs per per_attribute_cosine block: its temporaries stay small
 
 

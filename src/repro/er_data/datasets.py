@@ -103,7 +103,7 @@ _GEN = {
 
 # Attribute whose token swap turns a record into a guaranteed non-match.
 _KEY_ATTR = {"citation": "title", "product": "title", "restaurant": "name"}
-# letters of a near miss's fresh model number, unlike any _model_number's
+# the two letters that start a near miss's fresh model number
 _MODEL_HEADS, _MODEL_TAILS = list("qzxv"), list("kmpt")
 
 

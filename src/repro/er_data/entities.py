@@ -19,7 +19,7 @@ def _pick(rng: np.random.Generator, seq):
     """One uniform draw from ``seq``, returned as its own element (a
     ``str`` stays a ``str``). On numpy's ``Generator`` this consumes the
     same stream as ``rng.choice(seq)``, which ``tests/test_pick_stream.py``
-    pins, at a tenth of the cost: ``choice`` converts ``seq`` to an array
+    pins, at a fifth of the cost: ``choice`` converts ``seq`` to an array
     first."""
     return seq[rng.integers(0, len(seq))]
 
